@@ -122,10 +122,6 @@ class AxiomReport:
     def passed(self) -> bool:
         return self.verdict == "pass"
 
-    @property
-    def gating_failure(self) -> bool:
-        return self.verdict == "fail"
-
     def to_dict(self) -> dict:
         return {
             "axiom": self.axiom,

@@ -239,6 +239,8 @@ def cmd_verify(args) -> int:
     tol = _tolerances(args)
     if args.dim > tol.max_dim:
         raise ParseError(f"dim {args.dim} exceeds max_dim {tol.max_dim}")
+    if args.samples < 1:
+        raise ParseError(f"--samples must be a positive count, got {args.samples}")
     seed = _seed(args)
     config = CheckConfig(seed=seed, samples=args.samples)
     structure = _build_structure(args.target, args, tol)

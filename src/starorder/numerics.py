@@ -6,10 +6,20 @@ norm test with a mixed absolute/relative threshold. Both knobs live in
 :class:`Tolerances` so that callers can tighten or relax them coherently.
 The equality implemented by :func:`op_equal` is *the* equality of the whole
 package; no other module compares raw matrix entries.
+
+Two things keep the hot paths cheap without changing a single bit of any
+result. :func:`range_projector` keeps its 16 most recently used results,
+keyed by the operator object (operators are immutable and compare by
+identity) and the :class:`Tolerances` record, because the order operations
+ask for the range projection of the same operand several times in a row. :func:`_fro` is the
+Frobenius norm computed by numpy's own arithmetic for ``np.linalg.norm``,
+without that function's Python dispatch.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +34,6 @@ __all__ = [
     "Subspace",
     "eigh",
     "range_projector",
-    "kernel_projector",
     "proj_meet",
     "proj_join",
     "op_equal",
@@ -41,6 +50,11 @@ _HERMITIZE_REL_DEFECT = 1e-10
 _PROJ_IDEMPOTENT_TOL = 1e-9
 _PROJ_EIGENVALUE_TOL = 1e-9
 _BASIS_ORTHO_TOL = 1e-10
+
+# Entries kept by the range-projection caches. A bound, not a per-operator
+# slot: callers may hold many large operands alive at once. The reuse seen in
+# the axiom harness is between calls at most a few operands apart.
+_RANGE_CACHE_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -69,6 +83,17 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 
+def _fro(x: np.ndarray) -> float:
+    """Frobenius norm, bit for bit ``float(np.linalg.norm(x))`` for float and
+    complex arrays: the same memory-order ravel and dot products, without the
+    dispatch of the general-purpose function."""
+    x = x.ravel(order="K")
+    if x.dtype.kind == "c":
+        r, i = x.real, x.imag
+        return math.sqrt(r.dot(r) + i.dot(i))
+    return math.sqrt(x.dot(x))
+
+
 class HermitianOperator:
     """An n-by-n complex self-adjoint matrix.
 
@@ -86,8 +111,8 @@ class HermitianOperator:
         if not np.all(np.isfinite(m)):
             raise ValueError("matrix entries must be finite")
         sym = (m + m.conj().T) / 2.0
-        defect = float(np.linalg.norm(m - sym))
-        if defect > _HERMITIZE_REL_DEFECT * float(np.linalg.norm(m)):
+        defect = _fro(m - sym)
+        if defect > _HERMITIZE_REL_DEFECT * _fro(m):
             raise ValueError(
                 f"matrix is not self-adjoint: symmetrization defect {defect:.3e} "
                 f"exceeds {_HERMITIZE_REL_DEFECT:g} * ||M||"
@@ -105,7 +130,7 @@ class HermitianOperator:
 
     def norm(self) -> float:
         """Frobenius norm."""
-        return float(np.linalg.norm(self.entries))
+        return _fro(self.entries)
 
     @classmethod
     def zero(cls, dim: int):
@@ -150,7 +175,7 @@ class Projector(HermitianOperator):
     def __init__(self, entries):
         super().__init__(entries)
         p = self.entries
-        if float(np.linalg.norm(p @ p - p)) > _PROJ_IDEMPOTENT_TOL * self.dim:
+        if _fro(p @ p - p) > _PROJ_IDEMPOTENT_TOL * self.dim:
             raise ValueError("matrix is not idempotent within tolerance")
         w = np.linalg.eigvalsh(p)
         if float(np.max(np.minimum(np.abs(w), np.abs(w - 1.0)))) > _PROJ_EIGENVALUE_TOL:
@@ -184,7 +209,7 @@ class Subspace:
         if b.ndim != 2 or b.shape[0] == 0:
             raise ValueError(f"expected a dim-by-k basis array, got shape {b.shape}")
         k = b.shape[1]
-        if k and float(np.linalg.norm(b.conj().T @ b - np.eye(k))) > _BASIS_ORTHO_TOL * max(1, k):
+        if k and _fro(b.conj().T @ b - np.eye(k)) > _BASIS_ORTHO_TOL * max(1, k):
             raise ValueError("basis columns are not orthonormal within 1e-10")
         b.setflags(write=False)
         object.__setattr__(self, "basis", b)
@@ -222,9 +247,9 @@ def _same_dim(a, b):
 
 def _arrays_close(x, y, tol: Tolerances) -> bool:
     # the package-wide equality: ||X - Y||_F <= eq_abs_tol * max(1, ||X||, ||Y||)
-    nx = float(np.linalg.norm(x))
-    ny = float(np.linalg.norm(y))
-    return float(np.linalg.norm(x - y)) <= tol.eq_abs_tol * max(1.0, nx, ny)
+    nx = _fro(x)
+    ny = _fro(y)
+    return _fro(x - y) <= tol.eq_abs_tol * max(1.0, nx, ny)
 
 
 def symmetrized(entries) -> HermitianOperator:
@@ -277,18 +302,19 @@ def range_projector(a: HermitianOperator, tol: Tolerances = DEFAULT_TOL) -> Proj
 
     Eigenvalues with magnitude at most rank_rel_tol times the largest are
     treated as zero, so the result is invariant under nonzero rescaling of
-    the input. The zero operator maps to the zero projector.
+    the input. The zero operator maps to the zero projector. Repeated calls
+    on the same operator object return the same (immutable) projector.
     """
+    return _range_projector(a, tol)
+
+
+@functools.lru_cache(maxsize=_RANGE_CACHE_SIZE)
+def _range_projector(a: HermitianOperator, tol: Tolerances) -> Projector:
     w, v = eigh(a)
     top = float(np.max(np.abs(w))) if w.size else 0.0
     keep = np.abs(w) > tol.rank_rel_tol * top
     u = v[:, keep]
     return Projector(u @ u.conj().T)
-
-
-def kernel_projector(a: HermitianOperator, tol: Tolerances = DEFAULT_TOL) -> Projector:
-    """Projector onto the kernel, i.e. the complement of the range (A is self-adjoint)."""
-    return range_projector(a, tol).complement()
 
 
 def _projector_sum_span(s: HermitianOperator, tol: Tolerances) -> Projector:
@@ -342,8 +368,8 @@ def commutes(a: HermitianOperator, b: HermitianOperator, tol: Tolerances = DEFAU
     """Whether ||AB - BA||_F <= eq_abs_tol * max(1, ||A|| * ||B||)."""
     _same_dim(a, b)
     ab = a.entries @ b.entries
-    return float(np.linalg.norm(ab - ab.conj().T)) <= tol.eq_abs_tol * max(
-        1.0, float(np.linalg.norm(a.entries)) * float(np.linalg.norm(b.entries))
+    return _fro(ab - ab.conj().T) <= tol.eq_abs_tol * max(
+        1.0, _fro(a.entries) * _fro(b.entries)
     )
 
 
@@ -398,10 +424,15 @@ def matrix_to_json(a: HermitianOperator) -> dict:
     return {"dim": a.dim, "entries": entries}
 
 
+def _is_real(t) -> bool:
+    # JSON true/false arrive as bool, a subclass of int; they are not numbers here
+    return isinstance(t, (int, float)) and not isinstance(t, bool)
+
+
 def _parse_scalar(cell):
-    if isinstance(cell, (int, float)):
+    if _is_real(cell):
         return complex(cell, 0.0)
-    if isinstance(cell, list) and len(cell) == 2 and all(isinstance(t, (int, float)) for t in cell):
+    if isinstance(cell, list) and len(cell) == 2 and all(_is_real(t) for t in cell):
         return complex(cell[0], cell[1])
     raise ParseError(f"matrix entry must be a number or [re, im] pair, got {cell!r}")
 

@@ -22,6 +22,8 @@ problem from computing the join once one is known.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import NotLess, NotOrthogonal, NotUpperBound
@@ -30,7 +32,9 @@ from .numerics import (
     HermitianOperator,
     Projector,
     Tolerances,
+    _RANGE_CACHE_SIZE,
     _arrays_close,
+    _fro,
     _same_dim,
     largest_invariant_subspace,
     proj_join,
@@ -58,11 +62,13 @@ def _zeroish(a: HermitianOperator, tol: Tolerances) -> bool:
     return a.norm() <= tol.eq_abs_tol
 
 
+@functools.lru_cache(maxsize=_RANGE_CACHE_SIZE)
 def _eff_range_projector(a: HermitianOperator, tol: Tolerances) -> Projector:
     """Range projector as seen by the order: operators equal to O under the
     package equality get the zero projector, so that order predicates are
     congruent with `op_equal`. (The bare relative rank cutoff would keep
-    rounding noise as range for such operators.)"""
+    rounding noise as range for such operators.) Memoized like
+    `range_projector`, by operator identity."""
     if _zeroish(a, tol):
         return Projector(np.zeros((a.dim, a.dim)))
     return range_projector(a, tol)
@@ -80,7 +86,7 @@ def logical_le(a: HermitianOperator, b: HermitianOperator, tol: Tolerances = DEF
 def orthogonal(a: HermitianOperator, b: HermitianOperator, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Whether the composition AB vanishes (a symmetric relation on self-adjoint pairs)."""
     _same_dim(a, b)
-    return float(np.linalg.norm(a.entries @ b.entries)) <= tol.eq_abs_tol * max(
+    return _fro(a.entries @ b.entries) <= tol.eq_abs_tol * max(
         1.0, a.norm() * b.norm()
     )
 

@@ -86,6 +86,13 @@ def test_compute_parse_error_is_exit_1(capsys, tmp_path):
     assert code == 1
 
 
+def test_compute_boolean_entries_are_exit_1(capsys, tmp_path, mats):
+    bad = write(tmp_path, "bool.json", {"dim": 2, "entries": [[True, 0], [0, False]]})
+    code, out, err = run(capsys, "compute", "le", bad, mats["ones"])
+    assert code == 1 and out == ""
+    assert "ParseError" in err
+
+
 def test_compute_dim_mismatch_is_exit_1(capsys, mats):
     code, _, err = run(capsys, "compute", "le", mats["a"], mats["ones"])
     assert code == 1
@@ -156,6 +163,13 @@ def test_verify_table_format(capsys):
     code, out, _ = run(capsys, "verify", "rv", "qom", "--format", "table")
     assert code == 0
     assert "⊥6" in out and "summary" in out
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_nonpositive_samples_is_exit_1(capsys, samples):
+    code, out, err = run(capsys, "verify", "matrix", "nearsemilattice", "--samples", samples)
+    assert code == 1 and out == ""
+    assert "--samples" in err
 
 
 def test_verify_unknown_model_is_exit_1(capsys):

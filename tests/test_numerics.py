@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from starorder import numerics, observables
+from starorder.cli import main
 from starorder.errors import DimMismatch, ParseError
 from starorder.numerics import (
     DEFAULT_TOL,
@@ -8,6 +10,7 @@ from starorder.numerics import (
     Projector,
     Subspace,
     Tolerances,
+    _fro,
     commutes,
     eigh,
     largest_invariant_subspace,
@@ -142,6 +145,56 @@ def test_range_projector_scale_invariant(rng, c):
         p1 = range_projector(a)
         p2 = range_projector(a.scaled(c))
         assert np.linalg.norm(p1.entries - p2.entries) <= 1e-9
+
+
+def test_range_projector_computes_once_per_operator(monkeypatch):
+    calls = []
+
+    def counting_eigh(a):
+        calls.append(a)
+        return eigh(a)
+
+    monkeypatch.setattr(numerics, "eigh", counting_eigh)
+    a = HermitianOperator([[2.0, 1.0], [1.0, 2.0]])
+    p = range_projector(a)
+    assert range_projector(a) is p
+    assert range_projector(a, DEFAULT_TOL) is p
+    assert calls == [a]
+    # an equal but distinct operator is a different key
+    assert range_projector(HermitianOperator(a.entries)) is not p
+    assert len(calls) == 2
+
+
+def test_range_projector_cache_is_bounded(rng):
+    info = numerics._range_projector.cache_info()
+    assert info.maxsize == 16
+    assert observables._eff_range_projector.cache_info().maxsize == 16
+    for _ in range(40):
+        a = HermitianOperator.diagonal(rng.standard_normal(3))
+        range_projector(a)
+        observables._eff_range_projector(a, DEFAULT_TOL)
+    assert numerics._range_projector.cache_info().currsize <= 16
+    assert observables._eff_range_projector.cache_info().currsize <= 16
+
+
+@pytest.mark.parametrize("n", [1, 4, 64])
+def test_fro_matches_numpy_norm_bit_for_bit(rng, n):
+    for scale in (1e-9, 1.0, 1e8):
+        real = scale * rng.standard_normal((n, n))
+        cplx = real + 1j * scale * rng.standard_normal((n, n))
+        for m in (real, cplx):
+            for x in (m, np.asfortranarray(m), m.T, m.conj().T, m[:, ::2]):
+                assert _fro(x) == float(np.linalg.norm(x))
+
+
+def test_verify_report_does_not_depend_on_the_caches(tmp_path, monkeypatch):
+    argv = ["verify", "matrix", "nearsemilattice", "skew", "goa",
+            "--dim", "4", "--samples", "40", "--seed", "7"]
+    assert main(argv + ["--out", str(tmp_path / "cached.json")]) == 0
+    monkeypatch.setattr(numerics, "_range_projector", numerics._range_projector.__wrapped__)
+    monkeypatch.setattr(observables, "_eff_range_projector", observables._eff_range_projector.__wrapped__)
+    assert main(argv + ["--out", str(tmp_path / "uncached.json")]) == 0
+    assert (tmp_path / "cached.json").read_bytes() == (tmp_path / "uncached.json").read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +384,8 @@ def test_matrix_json_round_trip(rng):
         {"dim": 3, "entries": [[1, 0], [0, 1]]},
         {"entries": [[1, "x"], ["x", 1]]},
         {"entries": [[0, 1], [-1, 0]]},  # not self-adjoint
+        {"entries": [[True, 0], [0, 1]]},  # JSON booleans are not numbers
+        {"entries": [[[1, False], 0], [0, 1]]},
         "nonsense",
     ],
 )
