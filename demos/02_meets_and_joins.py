@@ -1,9 +1,9 @@
 """Meets always exist; joins need an upper-bound witness.
 
-The meet of A and B lives on the largest B-invariant subspace of
-ran A  ∩  ran B  ∩  ker(A - B): restricted to directions where A and B
-already agree, commuting with B is the same as being B-invariant, and the
-meet is B composed with that subspace's projector. No upper bound needed.
+The meet of A and B is the sum of λ P over their common eigenvectors
+with eigenvalue λ ≠ 0: for each eigenvalue λ of A, the directions of its
+eigenspace where B - A vanishes. These are exactly the directions of
+ran A  ∩  ran B  ∩  ker(A - B) that reduce B. No upper bound needed.
 
 Joins are different: the join of a family below C is C composed with the
 join of the members' range projections, but deciding whether an upper

@@ -66,11 +66,9 @@ from .numerics import (
     DEFAULT_TOL,
     HermitianOperator,
     Projector,
-    Subspace,
     Tolerances,
     commutes,
     eigh,
-    largest_invariant_subspace,
     op_equal,
     proj_join,
     proj_meet,

@@ -241,6 +241,8 @@ def cmd_verify(args) -> int:
         raise ParseError(f"dim {args.dim} exceeds max_dim {tol.max_dim}")
     if args.samples < 1:
         raise ParseError(f"--samples must be a positive count, got {args.samples}")
+    if args.oml_tops < 1:
+        raise ParseError(f"--oml-tops must be a positive count, got {args.oml_tops}")
     seed = _seed(args)
     config = CheckConfig(seed=seed, samples=args.samples)
     structure = _build_structure(args.target, args, tol)

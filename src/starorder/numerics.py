@@ -8,12 +8,13 @@ The equality implemented by :func:`op_equal` is *the* equality of the whole
 package; no other module compares raw matrix entries.
 
 Two things keep the hot paths cheap without changing a single bit of any
-result. :func:`range_projector` keeps its 16 most recently used results,
-keyed by the operator object (operators are immutable and compare by
-identity) and the :class:`Tolerances` record, because the order operations
-ask for the range projection of the same operand several times in a row. :func:`_fro` is the
-Frobenius norm computed by numpy's own arithmetic for ``np.linalg.norm``,
-without that function's Python dispatch.
+result. :func:`eigh` and :func:`range_projector` each keep their 16 most
+recently used results, keyed by the operator object (operators are
+immutable and compare by identity; the range projection also by the
+:class:`Tolerances` record), because the order operations ask for the
+spectrum and the range projection of the same operand several times in a
+row. :func:`_fro` is the Frobenius norm computed by numpy's own arithmetic
+for ``np.linalg.norm``, without that function's Python dispatch.
 """
 
 from __future__ import annotations
@@ -31,14 +32,12 @@ __all__ = [
     "DEFAULT_TOL",
     "HermitianOperator",
     "Projector",
-    "Subspace",
     "eigh",
     "range_projector",
     "proj_meet",
     "proj_join",
     "op_equal",
     "commutes",
-    "largest_invariant_subspace",
     "rank_sensitive",
     "matrix_to_json",
     "matrix_from_json",
@@ -49,11 +48,10 @@ __all__ = [
 _HERMITIZE_REL_DEFECT = 1e-10
 _PROJ_IDEMPOTENT_TOL = 1e-9
 _PROJ_EIGENVALUE_TOL = 1e-9
-_BASIS_ORTHO_TOL = 1e-10
 
-# Entries kept by the range-projection caches. A bound, not a per-operator
-# slot: callers may hold many large operands alive at once. The reuse seen in
-# the axiom harness is between calls at most a few operands apart.
+# Entries kept by the spectrum and range-projection caches. A bound, not a
+# per-operator slot: callers may hold many large operands alive at once. The
+# reuse seen in the axiom harness is between calls at most a few operands apart.
 _RANGE_CACHE_SIZE = 16
 
 
@@ -189,56 +187,6 @@ class Projector(HermitianOperator):
         """I - P, the projector onto the orthogonal complement of the range."""
         return Projector(np.eye(self.dim) - self.entries)
 
-    def to_subspace(self) -> "Subspace":
-        """Orthonormal basis of the range (eigenvectors with eigenvalue near 1)."""
-        w, v = np.linalg.eigh(self.entries)
-        return Subspace(v[:, w > 0.5])
-
-
-class Subspace:
-    """A linear subspace of C^n carried as an orthonormal column basis.
-
-    The basis may have zero columns (the zero subspace). Columns must be
-    orthonormal within 1e-10.
-    """
-
-    __slots__ = ("basis",)
-
-    def __init__(self, basis):
-        b = np.array(basis, dtype=np.complex128)
-        if b.ndim != 2 or b.shape[0] == 0:
-            raise ValueError(f"expected a dim-by-k basis array, got shape {b.shape}")
-        k = b.shape[1]
-        if k and _fro(b.conj().T @ b - np.eye(k)) > _BASIS_ORTHO_TOL * max(1, k):
-            raise ValueError("basis columns are not orthonormal within 1e-10")
-        b.setflags(write=False)
-        object.__setattr__(self, "basis", b)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Subspace is immutable")
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
-
-    @property
-    def subspace_dim(self) -> int:
-        return self.basis.shape[1]
-
-    @classmethod
-    def zero(cls, dim: int):
-        return cls(np.zeros((dim, 0)))
-
-    @classmethod
-    def full(cls, dim: int):
-        return cls(np.eye(dim))
-
-    def projector(self) -> Projector:
-        return Projector(self.basis @ self.basis.conj().T)
-
-    def __repr__(self):
-        return f"Subspace(dim={self.dim}, subspace_dim={self.subspace_dim})"
-
 
 def _same_dim(a, b):
     if a.dim != b.dim:
@@ -266,35 +214,29 @@ def symmetrized(entries) -> HermitianOperator:
 
 
 def eigh(a: HermitianOperator):
-    """Spectral decomposition: ascending real eigenvalues and a unitary of eigenvectors."""
+    """Spectral decomposition: ascending real eigenvalues and a unitary of
+    eigenvectors, both read-only. Repeated calls on the same operator object
+    return the same arrays."""
+    return _spectrum(a)
+
+
+@functools.lru_cache(maxsize=_RANGE_CACHE_SIZE)
+def _spectrum(a: HermitianOperator):
     try:
         w, v = np.linalg.eigh(a.entries)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
+    w.setflags(write=False)
+    v.setflags(write=False)
     return w, v
 
 
-def _orthonormal_columns(m: np.ndarray, rel_tol: float) -> np.ndarray:
-    """Orthonormal basis of the column span, with singular values below
-    rel_tol * sigma_max treated as zero."""
-    if m.shape[1] == 0:
-        return m
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return np.zeros((m.shape[0], 0), dtype=np.complex128)
-    r = int(np.count_nonzero(s > rel_tol * s[0]))
-    return u[:, :r]
-
-
-def _null_columns(m: np.ndarray, rel_tol: float, scale: float) -> np.ndarray:
-    """Orthonormal basis (k x m) of the right null space of an n-by-k matrix,
-    counting singular values <= rel_tol * scale as zero."""
-    k = m.shape[1]
-    if k == 0:
-        return np.zeros((0, 0), dtype=np.complex128)
-    _, s, vh = np.linalg.svd(m, full_matrices=True)
-    r = int(np.count_nonzero(s > rel_tol * scale))
-    return vh[r:].conj().T
+def _range_basis(a: HermitianOperator, tol: Tolerances) -> np.ndarray:
+    """The eigenvectors whose eigenvalues exceed rank_rel_tol times the
+    largest magnitude: an orthonormal basis of the numerical range."""
+    w, v = eigh(a)
+    top = float(np.max(np.abs(w))) if w.size else 0.0
+    return v[:, np.abs(w) > tol.rank_rel_tol * top]
 
 
 def range_projector(a: HermitianOperator, tol: Tolerances = DEFAULT_TOL) -> Projector:
@@ -310,10 +252,7 @@ def range_projector(a: HermitianOperator, tol: Tolerances = DEFAULT_TOL) -> Proj
 
 @functools.lru_cache(maxsize=_RANGE_CACHE_SIZE)
 def _range_projector(a: HermitianOperator, tol: Tolerances) -> Projector:
-    w, v = eigh(a)
-    top = float(np.max(np.abs(w))) if w.size else 0.0
-    keep = np.abs(w) > tol.rank_rel_tol * top
-    u = v[:, keep]
+    u = _range_basis(a, tol)
     return Projector(u @ u.conj().T)
 
 
@@ -371,31 +310,6 @@ def commutes(a: HermitianOperator, b: HermitianOperator, tol: Tolerances = DEFAU
     return _fro(ab - ab.conj().T) <= tol.eq_abs_tol * max(
         1.0, _fro(a.entries) * _fro(b.entries)
     )
-
-
-def largest_invariant_subspace(
-    b: HermitianOperator, s0: Subspace, tol: Tolerances = DEFAULT_TOL
-) -> Subspace:
-    """The largest subspace S of s0 with B S contained in S.
-
-    Descending iteration S_{k+1} = S_k intersect {x : (I - P_k) B x = 0};
-    the dimension strictly decreases until the fixed point, so at most dim
-    rounds run. For self-adjoint B every invariant subspace is reducing,
-    hence the projector of the result commutes with B (within tolerance).
-    """
-    if b.dim != s0.dim:
-        raise DimMismatch(f"dimensions differ: {b.dim} vs {s0.dim}")
-    n = b.dim
-    scale = b.norm()
-    u = s0.basis
-    while u.shape[1] > 0:
-        p = u @ u.conj().T
-        resid = (np.eye(n) - p) @ b.entries @ u
-        w = _null_columns(resid, tol.rank_rel_tol, scale)
-        if w.shape[1] == u.shape[1]:
-            return Subspace(u)
-        u = _orthonormal_columns(u @ w, tol.rank_rel_tol)
-    return Subspace.zero(n)
 
 
 def rank_sensitive(operators, tol: Tolerances = DEFAULT_TOL, factor: float = 10.0) -> bool:

@@ -6,18 +6,26 @@ order is not a lattice order, but meets always exist, joins exist for
 families with a common upper bound, and every initial segment [O, B] is an
 orthomodular lattice carried by the projections commuting with B.
 
-The meet of A and B is computed on the candidate subspace
+The meet and the skew meet are sums over common eigenvectors.  With
+E_l(X) the eigenspace of X for the eigenvalue l and P(S) the projector
+onto S,
 
-    S0 = ran A  intersect  ran B  intersect  ker(A - B).
+    meet(A, B)      = sum over l != 0 of  l P(E_l(A) intersect ker(B - A)),
+    skew_meet(A, B) = sum over l != 0 of  l P(E_l(B) intersect ran A).
 
-For a projector P with range inside ker(A - B) we have (A - B)P = O, so P
-commutes with A exactly when it commutes with B; membership in the meet's
-projector set therefore reduces to plain B-invariance of the range, and
-the meet is B composed with the projector of the largest B-invariant
-subspace of S0.  The skew meet drops the kernel factor from S0.  Both are
-total; the join is only provided against an explicit upper-bound witness,
-because deciding whether a common upper bound exists is a different
-problem from computing the join once one is known.
+Proof sketch: the meet is B P for the largest projector P whose range
+reduces B and lies in S0 = ran A intersect ran B intersect ker(A - B); on
+S0 A and B agree, so the range reduces A too.  It therefore splits into
+common eigenvectors, Ax = Bx = l x, with l != 0 because x lies in ran B.
+Conversely each common eigenvector with l != 0 spans a subspace of S0
+that reduces B.  For x in E_l(A), (B - A)x = Bx - l x, so
+E_l(A) intersect ker(B - A) is exactly the common eigenspace.  The skew
+meet drops the kernel factor from S0, leaving the eigenvectors of B with
+l != 0 that lie in ran A.  Both therefore take one eigendecomposition and
+one small null space per eigenvalue cluster.  Both are total; the join is
+only provided against an explicit upper-bound witness, because deciding
+whether a common upper bound exists is a different problem from computing
+the join once one is known.
 """
 
 from __future__ import annotations
@@ -35,8 +43,9 @@ from .numerics import (
     _RANGE_CACHE_SIZE,
     _arrays_close,
     _fro,
+    _range_basis,
     _same_dim,
-    largest_invariant_subspace,
+    eigh,
     proj_join,
     proj_meet,
     range_projector,
@@ -104,12 +113,40 @@ def osum(a: HermitianOperator, b: HermitianOperator, tol: Tolerances = DEFAULT_T
 def meet(a: HermitianOperator, b: HermitianOperator, tol: Tolerances = DEFAULT_TOL) -> HermitianOperator:
     """Greatest lower bound of A and B. Total, unlike the join."""
     _same_dim(a, b)
-    pa = _eff_range_projector(a, tol)
-    pb = _eff_range_projector(b, tol)
-    kernel = _eff_range_projector(a - b, tol).complement()
-    s0 = proj_meet(proj_meet(pa, pb, tol), kernel, tol).to_subspace()
-    p_star = largest_invariant_subspace(b, s0, tol).projector()
-    return symmetrized(b.entries @ p_star.entries)
+    s = _scale(a, b)
+    # B - A rather than B - lambda: no cluster-mean error enters the null space
+    return _eigen_meet(a, b, eigh(a), b.entries - a.entries, s, s, tol)
+
+
+def _scale(a: HermitianOperator, b: HermitianOperator) -> float:
+    """max(||A||_2, ||B||_2), read off the cached spectra."""
+    return max(max(-w[0], w[-1]) for w in (eigh(a)[0], eigh(b)[0]))
+
+
+def _eigen_meet(a, b, spectrum, m, s, m_scale, tol) -> HermitianOperator:
+    """B P, for P the projector onto the sum over the nonzero eigenvalue
+    clusters of `spectrum` of (cluster eigenspace) ∩ ker M; O when A or B
+    equals O.
+
+    The ascending eigenvalues split into clusters wherever a gap exceeds
+    rank_rel_tol * s, and clusters whose mean lies within that cutoff of 0
+    are dropped. For each remaining eigenvector basis U, singular values of
+    M U up to rank_rel_tol * m_scale count as zero.
+    """
+    n = b.dim
+    cols = []
+    if not (_zeroish(a, tol) or _zeroish(b, tol)):
+        w, v = spectrum
+        cut = tol.rank_rel_tol * s
+        bounds = [0, *(np.flatnonzero(np.diff(w) > cut) + 1), n]
+        for lo, hi in zip(bounds, bounds[1:]):
+            if abs(w[lo:hi].mean()) <= cut:
+                continue
+            u = v[:, lo:hi]
+            _, sv, vh = np.linalg.svd(m @ u, full_matrices=False)
+            cols.append(u @ vh[np.count_nonzero(sv > tol.rank_rel_tol * m_scale):].conj().T)
+    x = np.hstack(cols) if cols else np.zeros((n, 0), dtype=np.complex128)
+    return symmetrized(b.entries @ (x @ x.conj().T))
 
 
 def _checked_family(family, c, tol):
@@ -181,11 +218,9 @@ def skew_meet(a: HermitianOperator, b: HermitianOperator, tol: Tolerances = DEFA
     """The right-handed skew meet: the largest operator that precedes B and is
     overridden by A. Total and associative but not commutative."""
     _same_dim(a, b)
-    pa = _eff_range_projector(a, tol)
-    pb = _eff_range_projector(b, tol)
-    s0 = proj_meet(pa, pb, tol).to_subspace()
-    p_star = largest_invariant_subspace(b, s0, tol).projector()
-    return symmetrized(b.entries @ p_star.entries)
+    # ran A = ker(I - P_A); a projector's singular values live at scale 1
+    m = np.eye(a.dim) - _eff_range_projector(a, tol).entries
+    return _eigen_meet(a, b, eigh(b), m, _scale(a, b), 1.0, tol)
 
 
 def _try_join(a: HermitianOperator, b: HermitianOperator, tol: Tolerances = DEFAULT_TOL):
@@ -198,8 +233,7 @@ def _try_join(a: HermitianOperator, b: HermitianOperator, tol: Tolerances = DEFA
     public API for joins is `join_bounded`, which takes the witness.
     """
     _same_dim(a, b)
-    ua = _eff_range_projector(a, tol).to_subspace().basis
-    ub = _eff_range_projector(b, tol).to_subspace().basis
+    ua, ub = (np.zeros((op.dim, 0)) if _zeroish(op, tol) else _range_basis(op, tol) for op in (a, b))
     x = np.hstack([ua, ub])
     if x.shape[1] == 0:
         return HermitianOperator.zero(a.dim)

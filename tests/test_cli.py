@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 
@@ -152,6 +153,27 @@ def test_verify_reports_are_byte_identical(tmp_path, capsys):
     assert (tmp_path / "r1.json").read_bytes() == (tmp_path / "r2.json").read_bytes()
 
 
+# SHA-256 of the report bytes, recorded before the meet and the skew meet
+# moved to the eigenvalue-cluster formula. The two finite models are exact;
+# the matrix report also rests on the floating point of numpy's LAPACK, so a
+# mismatch on another build calls for reading the report, not a new digest.
+PINNED_REPORTS = [
+    (["rv", "all", "--seed", "7"], "4e059c5f1915cc9a614a998e2a1b88dd76d68bacabb88be51d1a68340234d9bd"),
+    (["pf", "all", "--seed", "7"], "1c1b512a404d7ef5333d00952b366465de3e373407d44ae06eae7c6b9f68ea93"),
+    (
+        ["matrix", "nearsemilattice", "skew", "goa", "--dim", "4", "--samples", "40", "--seed", "7"],
+        "de79bf59f6366e0c32de9067b94dbf0180cb3275a8915961c517e16a6a750225",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_REPORTS)
+def test_verify_report_matches_pinned_digest(tmp_path, argv, digest):
+    out = tmp_path / "report.json"
+    assert main(["verify", *argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_verify_seed_env_fallback(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("LOL_SEED", "99")
     code, out, _ = run(capsys, "verify", "matrix", "ortho", "--dim", "3", "--samples", "20")
@@ -170,6 +192,30 @@ def test_verify_nonpositive_samples_is_exit_1(capsys, samples):
     code, out, err = run(capsys, "verify", "matrix", "nearsemilattice", "--samples", samples)
     assert code == 1 and out == ""
     assert "--samples" in err
+
+
+@pytest.mark.parametrize("tops", ["0", "-2"])
+def test_verify_nonpositive_oml_tops_is_exit_1(capsys, tops):
+    code, out, err = run(capsys, "verify", "matrix", "oml", "--oml-tops", tops, "--samples", "2")
+    assert code == 1 and out == ""
+    assert "--oml-tops" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--samples", "40", "--seed", "3200111"],
+        ["--samples", "40", "--seed", "6053"],
+        ["--dim", "6", "--samples", "100", "--seed", "1"],
+    ],
+)
+def test_verify_bck_law_2_holds_on_small_eigenvalue_tuples(capsys, argv):
+    # tuples with an eigenvalue near 0 beside one near 2.4: the nested
+    # difference x - (x - y) once lost an invariant direction in the meet
+    code, out, _ = run(capsys, "verify", "matrix", "bck", *argv)
+    assert code == 0
+    law = [e for e in json.loads(out)["reports"] if e["axiom"] == "−2"][0]
+    assert law["verdict"] == "pass" and law["stats"]["failures"] == 0
 
 
 def test_verify_unknown_model_is_exit_1(capsys):

@@ -8,12 +8,10 @@ from starorder.numerics import (
     DEFAULT_TOL,
     HermitianOperator,
     Projector,
-    Subspace,
     Tolerances,
     _fro,
     commutes,
     eigh,
-    largest_invariant_subspace,
     matrix_from_json,
     matrix_to_json,
     op_equal,
@@ -62,15 +60,6 @@ def test_projector_validation():
         Projector(np.array([[0.0, 1.0], [1.0, 0.0]]))  # eigenvalues -1, 1
 
 
-def test_subspace_validation_and_round_trip(rng):
-    with pytest.raises(ValueError):
-        Subspace(np.array([[1.0], [1.0]]))  # not normalized
-    for _ in range(10):
-        p = random_projector(rng, 5)
-        q = p.to_subspace().projector()
-        assert np.linalg.norm(p.entries - q.entries) <= 1e-9
-
-
 def test_tolerances_validation():
     with pytest.raises(ValueError):
         Tolerances(rank_rel_tol=-1)
@@ -114,6 +103,17 @@ def test_eigh_reconstruction_postcondition(rng):
         w, v = eigh(a)
         assert np.linalg.norm(v @ np.diag(w) @ v.conj().T - a.entries) <= 1e-9 * max(1, a.norm())
         assert np.linalg.norm(v.conj().T @ v - np.eye(6)) <= 1e-10 * 6
+
+
+def test_eigh_is_computed_once_per_operator_and_read_only():
+    a = HermitianOperator([[2.0, 1.0], [1.0, 2.0]])
+    w, v = eigh(a)
+    w2, v2 = eigh(a)
+    assert w2 is w and v2 is v
+    with pytest.raises(ValueError):
+        v[0, 0] = 0.0
+    # an equal but distinct operator is a different key
+    assert eigh(HermitianOperator(a.entries))[1] is not v
 
 
 # ---------------------------------------------------------------------------
@@ -169,12 +169,14 @@ def test_range_projector_cache_is_bounded(rng):
     info = numerics._range_projector.cache_info()
     assert info.maxsize == 16
     assert observables._eff_range_projector.cache_info().maxsize == 16
+    assert numerics._spectrum.cache_info().maxsize == 16
     for _ in range(40):
         a = HermitianOperator.diagonal(rng.standard_normal(3))
         range_projector(a)
         observables._eff_range_projector(a, DEFAULT_TOL)
     assert numerics._range_projector.cache_info().currsize <= 16
     assert observables._eff_range_projector.cache_info().currsize <= 16
+    assert numerics._spectrum.cache_info().currsize <= 16
 
 
 @pytest.mark.parametrize("n", [1, 4, 64])
@@ -193,6 +195,7 @@ def test_verify_report_does_not_depend_on_the_caches(tmp_path, monkeypatch):
     assert main(argv + ["--out", str(tmp_path / "cached.json")]) == 0
     monkeypatch.setattr(numerics, "_range_projector", numerics._range_projector.__wrapped__)
     monkeypatch.setattr(observables, "_eff_range_projector", observables._eff_range_projector.__wrapped__)
+    monkeypatch.setattr(numerics, "_spectrum", numerics._spectrum.__wrapped__)
     assert main(argv + ["--out", str(tmp_path / "uncached.json")]) == 0
     assert (tmp_path / "cached.json").read_bytes() == (tmp_path / "uncached.json").read_bytes()
 
@@ -290,70 +293,6 @@ def test_commutes_examples():
     assert np.allclose(comm, [[0, -1], [1, 0]])
     assert not commutes(a, b)
     assert commutes(a, HermitianOperator.identity(2))
-
-
-# ---------------------------------------------------------------------------
-# largest invariant subspace
-
-
-def test_invariant_subspace_eigenvector_line():
-    b = diag(1, 5, 7)
-    s0 = Subspace(np.eye(3)[:, :1])
-    s = largest_invariant_subspace(b, s0)
-    assert s.subspace_dim == 1
-    assert np.allclose(np.abs(s.basis[:, 0]), [1, 0, 0])
-
-
-def test_invariant_subspace_whole_space(rng):
-    z = rng.standard_normal((4, 4))
-    b = HermitianOperator((z + z.T) / 2)
-    s = largest_invariant_subspace(b, Subspace.full(4))
-    assert s.subspace_dim == 4
-
-
-def test_invariant_subspace_collapses_to_zero():
-    b = HermitianOperator([[0.0, 1.0], [1.0, 0.0]])
-    s0 = Subspace(np.eye(2)[:, :1])
-    s = largest_invariant_subspace(b, s0)
-    assert s.subspace_dim == 0
-    # oracle: b's commuting projectors are O, I, and the two lines (1,±1)/sqrt2;
-    # none of their ranges sits inside span(e1) except O
-    from conftest import commuting_projector_family
-
-    for p in commuting_projector_family(b):
-        inside = np.linalg.norm((np.eye(2) - s0.basis @ s0.basis.conj().T) @ p.entries) <= 1e-9
-        if inside:
-            assert p.rank == 0
-
-
-def test_invariant_subspace_contract(rng):
-    from starorder.sampling import random_spectrum_hermitian
-
-    for _ in range(10):
-        b = random_spectrum_hermitian(rng, 5)
-        w, v = eigh(b)
-        # s0: three eigenvectors plus one unrelated direction
-        extra = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        raw = np.hstack([v[:, :3], extra.reshape(-1, 1)])
-        q, _ = np.linalg.qr(raw)
-        s0 = Subspace(q[:, :4])
-        s = largest_invariant_subspace(b, s0)
-        p_s = s.projector()
-        p_0 = s0.projector()
-        # contained in s0
-        assert np.linalg.norm(p_0.entries @ p_s.entries - p_s.entries) <= 1e-8
-        # invariant: (I - P) B P = 0
-        assert (
-            np.linalg.norm((np.eye(5) - p_s.entries) @ b.entries @ p_s.entries)
-            <= 1e-7 * max(1, b.norm())
-        )
-        # commutes with b (reducing subspace)
-        assert commutes(b, p_s)
-        # any commuting projector inside s0 is inside s: the first three
-        # eigenvector lines are exactly the commuting ranges inside s0
-        for i in range(3):
-            line = v[:, i : i + 1]
-            assert np.linalg.norm(p_s.entries @ line - line) <= 1e-7
 
 
 # ---------------------------------------------------------------------------

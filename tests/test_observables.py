@@ -16,7 +16,13 @@ from starorder.observables import (
     segment_complement,
     skew_meet,
 )
-from starorder.sampling import bounded_family, random_commuting_projector, random_spectrum_hermitian
+from starorder.sampling import (
+    _EIGENVALUE_POOL,
+    bounded_family,
+    random_commuting_projector,
+    random_spectrum_hermitian,
+    random_unitary,
+)
 
 from conftest import commuting_projector_family, diag, diag_glb_oracle, random_projector
 
@@ -361,3 +367,75 @@ def test_try_join_decides_definedness(rng):
         j = _try_join(a, b)
         assert j is not None
         assert op_equal(j, join_bounded([a, b], c))
+
+
+# ---------------------------------------------------------------------------
+# properties at dims up to max_dim
+
+PROPERTY_DIMS = (4, 16, 64)
+
+
+def two_way_pair(rng, dim, scale, nonzero=True):
+    """(A, B), equal in exact arithmetic but assembled two ways in floating
+    point from C = V diag(w) V* and a subset S of its eigenvectors:
+    A = (C P_S + (C P_S)*)/2 as a product, B = sum over S of w_i v_i v_i*.
+    With nonzero=True, S selects some nonzero eigenvalue, so A is not O."""
+    while True:
+        v = random_unitary(rng, dim)
+        w = rng.choice(_EIGENVALUE_POOL, size=dim)
+        s = rng.random(dim) < 0.5
+        if np.any(w[s] != 0) == nonzero:
+            break
+    u = v[:, s]
+    cp = ((v * w) @ v.conj().T) @ (u @ u.conj().T)
+    a = HermitianOperator(scale * (cp + cp.conj().T) / 2)
+    b = HermitianOperator(scale * ((u * w[s]) @ u.conj().T))
+    return a, b
+
+
+def conjugated(u, x):
+    m = u @ x.entries @ u.conj().T
+    return HermitianOperator((m + m.conj().T) / 2)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e8])
+@pytest.mark.parametrize("dim", PROPERTY_DIMS)
+def test_meet_of_a_pair_built_two_ways_is_the_operand(rng, dim, scale):
+    for _ in range(10):
+        a, b = two_way_pair(rng, dim, scale)
+        assert op_equal(a, b)
+        assert op_equal(meet(a, b), a)
+        assert op_equal(meet(b, a), b)
+        # relative: an absolute test against O is not scale-consistent
+        assert bck_subtract(b, a).norm() <= 1e-7 * b.norm()
+
+
+@pytest.mark.xfail(strict=True, reason="op_equal(O, X) tests ||X|| against the absolute eq_abs_tol")
+def test_meet_of_a_pair_equal_to_zero_at_large_scale():
+    # C P_S with only zero eigenvalues selected is O in exact arithmetic; at
+    # 1e8 its rounding noise is ~1e-7 and the meet with the exact O is O
+    rng = np.random.default_rng(5)
+    a, b = two_way_pair(rng, 16, 1e8, nonzero=False)
+    assert op_equal(meet(a, b), a)
+
+
+@pytest.mark.parametrize("dim", PROPERTY_DIMS)
+def test_meet_is_symmetric(rng, dim):
+    for _ in range(10):
+        _, (a, b) = bounded_family(rng, dim, 2)
+        assert op_equal(meet(a, b), meet(b, a))
+        a, b = random_spectrum_hermitian(rng, dim), random_spectrum_hermitian(rng, dim)
+        assert op_equal(meet(a, b), meet(b, a))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e8])
+@pytest.mark.parametrize("dim", PROPERTY_DIMS)
+def test_meet_and_skew_meet_are_unitarily_covariant(rng, dim, scale):
+    for _ in range(5):
+        _, (a, b) = bounded_family(rng, dim, 2)
+        a, b = a.scaled(scale), b.scaled(scale)
+        u = random_unitary(rng, dim)
+        ua, ub = conjugated(u, a), conjugated(u, b)
+        assert op_equal(meet(ua, ub), conjugated(u, meet(a, b)))
+        assert op_equal(skew_meet(ua, ub), conjugated(u, skew_meet(a, b)))
+        assert op_equal(skew_meet(ub, ua), conjugated(u, skew_meet(b, a)))
