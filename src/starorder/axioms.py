@@ -902,6 +902,7 @@ class _SegmentContext:
                 self.perp[i, j] = structure.perp(x, y)
         self.p_idx = self.find(p)
         self.zero_idx = self.find(structure.zero)
+        self._complements = {}
 
     def find(self, x):
         for i, y in enumerate(self.seg):
@@ -934,7 +935,13 @@ class _SegmentContext:
 
     def complement(self, i):
         """The complement used by the m-complement laws: the declared
-        constructor when it applies, else the unique search result."""
+        constructor when it applies, else the unique search result; memoized
+        per instance, so the memo dies with the context."""
+        if i not in self._complements:
+            self._complements[i] = self._find_complement(i)
+        return self._complements[i]
+
+    def _find_complement(self, i):
         if self.structure.complement_in is not None:
             z = self.structure.complement_in(self.seg[i], self.p)
             if z is not None:

@@ -7,14 +7,17 @@ norm test with a mixed absolute/relative threshold. Both knobs live in
 The equality implemented by :func:`op_equal` is *the* equality of the whole
 package; no other module compares raw matrix entries.
 
-Two things keep the hot paths cheap without changing a single bit of any
+Three things keep the hot paths cheap without changing a single bit of any
 result. :func:`eigh` and :func:`range_projector` each keep their 16 most
 recently used results, keyed by the operator object (operators are
 immutable and compare by identity; the range projection also by the
 :class:`Tolerances` record), because the order operations ask for the
 spectrum and the range projection of the same operand several times in a
 row. :func:`_fro` is the Frobenius norm computed by numpy's own arithmetic
-for ``np.linalg.norm``, without that function's Python dispatch.
+for ``np.linalg.norm``, without that function's Python dispatch. Input is
+checked at the boundary only: the public constructors, the arithmetic and
+:func:`matrix_from_json` validate; results that are self-adjoint or
+projectors by theorem are wrapped unchecked by the private ``_trusted``.
 """
 
 from __future__ import annotations
@@ -96,8 +99,10 @@ class HermitianOperator:
     """An n-by-n complex self-adjoint matrix.
 
     The constructor symmetrizes its input, M <- (M + M*)/2, and records the
-    symmetrization defect; inputs further than 1e-10 * ||M|| from
-    self-adjoint are rejected. Instances are immutable and safe to share.
+    symmetrization defect; non-finite inputs and inputs further than
+    1e-10 * ||M|| from self-adjoint are rejected, here and in the arithmetic.
+    Internal results built through `symmetrized` skip these checks.
+    Instances are immutable and safe to share.
     """
 
     __slots__ = ("entries", "defect")
@@ -108,7 +113,7 @@ class HermitianOperator:
             raise ValueError(f"expected a nonempty square matrix, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
             raise ValueError("matrix entries must be finite")
-        sym = (m + m.conj().T) / 2.0
+        sym = _hermitian_part(m)
         defect = _fro(m - sym)
         if defect > _HERMITIZE_REL_DEFECT * _fro(m):
             raise ValueError(
@@ -118,6 +123,16 @@ class HermitianOperator:
         sym.setflags(write=False)
         object.__setattr__(self, "entries", sym)
         object.__setattr__(self, "defect", defect)
+
+    @classmethod
+    def _trusted(cls, sym: np.ndarray):
+        """Wrap an exactly self-adjoint complex array built inside the package,
+        unchecked and uncopied; defect 0, the array made read-only."""
+        sym.setflags(write=False)
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "entries", sym)
+        object.__setattr__(obj, "defect", 0.0)
+        return obj
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -164,8 +179,9 @@ class HermitianOperator:
 class Projector(HermitianOperator):
     """An orthogonal projector: self-adjoint, idempotent, spectrum in {0, 1}.
 
-    Construction validates ||P^2 - P||_F <= 1e-9 * dim and that every
-    eigenvalue lies within 1e-9 of 0 or 1.
+    The public constructor validates ||P^2 - P||_F <= 1e-9 * dim and that
+    every eigenvalue lies within 1e-9 of 0 or 1; the range projections,
+    `proj_meet`, `proj_join` and `complement` are projectors by construction.
     """
 
     __slots__ = ()
@@ -185,7 +201,7 @@ class Projector(HermitianOperator):
 
     def complement(self) -> "Projector":
         """I - P, the projector onto the orthogonal complement of the range."""
-        return Projector(np.eye(self.dim) - self.entries)
+        return Projector._trusted(_hermitian_part(np.eye(self.dim) - self.entries))
 
 
 def _same_dim(a, b):
@@ -194,10 +210,14 @@ def _same_dim(a, b):
 
 
 def _arrays_close(x, y, tol: Tolerances) -> bool:
-    # the package-wide equality: ||X - Y||_F <= eq_abs_tol * max(1, ||X||, ||Y||)
-    nx = _fro(x)
-    ny = _fro(y)
-    return _fro(x - y) <= tol.eq_abs_tol * max(1.0, nx, ny)
+    # the package-wide equality: ||X - Y||_F <= eq_abs_tol * max(1, ||X||, ||Y||),
+    # with the norms taken only when needed (tol * max(1, x) = max(tol, tol * x))
+    d = _fro(x - y)
+    return d <= tol.eq_abs_tol or d <= tol.eq_abs_tol * max(1.0, _fro(x), _fro(y))
+
+
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    return (m + m.conj().T) / 2.0
 
 
 def symmetrized(entries) -> HermitianOperator:
@@ -207,10 +227,10 @@ def symmetrized(entries) -> HermitianOperator:
     Internal products like B P with P commuting with B are Hermitian as a
     theorem but carry rounding noise that the constructor's strict defect
     gate would reject when the product is nearly zero; call sites that hold
-    such a guarantee go through here. User-supplied matrices never should.
+    such a guarantee go through here. The result is built unchecked (no
+    finiteness or defect test), so user-supplied matrices never should.
     """
-    m = np.asarray(entries, dtype=np.complex128)
-    return HermitianOperator((m + m.conj().T) / 2.0)
+    return HermitianOperator._trusted(_hermitian_part(np.asarray(entries, dtype=np.complex128)))
 
 
 def eigh(a: HermitianOperator):
@@ -253,23 +273,7 @@ def range_projector(a: HermitianOperator, tol: Tolerances = DEFAULT_TOL) -> Proj
 @functools.lru_cache(maxsize=_RANGE_CACHE_SIZE)
 def _range_projector(a: HermitianOperator, tol: Tolerances) -> Projector:
     u = _range_basis(a, tol)
-    return Projector(u @ u.conj().T)
-
-
-def _projector_sum_span(s: HermitianOperator, tol: Tolerances) -> Projector:
-    """Range projector of a sum of projectors.
-
-    Unlike the general range projector, the cutoff here has an absolute
-    floor at scale 1: the summands' eigenvalues sit within 1e-9 of {0, 1}
-    by the Projector invariants, so spectral content of the sum below
-    rank_rel_tol is definitionally zero (a pure-rounding-noise sum must
-    yield the empty span, which a purely relative cutoff would not give).
-    """
-    w, v = eigh(s)
-    top = float(np.max(np.abs(w))) if w.size else 0.0
-    u = v[:, np.abs(w) > tol.rank_rel_tol * max(1.0, top)]
-    m = u @ u.conj().T
-    return Projector((m + m.conj().T) / 2.0)
+    return Projector._trusted(_hermitian_part(u @ u.conj().T))
 
 
 def proj_meet(p: Projector, q: Projector, tol: Tolerances = DEFAULT_TOL) -> Projector:
@@ -277,24 +281,24 @@ def proj_meet(p: Projector, q: Projector, tol: Tolerances = DEFAULT_TOL) -> Proj
 
     Computed as the orthogonal complement of span(ran(I-p) union ran(I-q)),
     which is exact in finite dimensions and has no trouble with nearly
-    parallel subspaces, unlike alternating projections. The span is taken
-    as the range of the sum of the two complement projectors: a single
-    Hermitian eigendecomposition, which keeps exactly-diagonal inputs exact
-    (stacked-basis orthonormalization would reintroduce rounding noise on
-    duplicated columns).
+    parallel subspaces, unlike alternating projections.
     """
-    _same_dim(p, q)
-    n = p.dim
-    span = _projector_sum_span(p.complement() + q.complement(), tol)
-    m = np.eye(n) - span.entries
-    return Projector((m + m.conj().T) / 2.0)
+    return proj_join(p.complement(), q.complement(), tol).complement()
 
 
 def proj_join(p: Projector, q: Projector, tol: Tolerances = DEFAULT_TOL) -> Projector:
     """Projector onto span(ran p union ran q), the smallest projector above
-    both; the span is the range of p + q (same remark as in proj_meet)."""
+    both: the range of p + q, from one Hermitian eigendecomposition, which
+    keeps exactly-diagonal inputs exact. Unlike the general range projector,
+    the cutoff has an absolute floor at scale 1: the summands' eigenvalues
+    sit within 1e-9 of {0, 1}, so spectral content of the sum below
+    rank_rel_tol is definitionally zero.
+    """
     _same_dim(p, q)
-    return _projector_sum_span(p + q, tol)
+    w, v = eigh(HermitianOperator._trusted(p.entries + q.entries))
+    top = float(np.max(np.abs(w))) if w.size else 0.0
+    u = v[:, np.abs(w) > tol.rank_rel_tol * max(1.0, top)]
+    return Projector._trusted(_hermitian_part(u @ u.conj().T))
 
 
 def op_equal(a: HermitianOperator, b: HermitianOperator, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -307,9 +311,8 @@ def commutes(a: HermitianOperator, b: HermitianOperator, tol: Tolerances = DEFAU
     """Whether ||AB - BA||_F <= eq_abs_tol * max(1, ||A|| * ||B||)."""
     _same_dim(a, b)
     ab = a.entries @ b.entries
-    return _fro(ab - ab.conj().T) <= tol.eq_abs_tol * max(
-        1.0, _fro(a.entries) * _fro(b.entries)
-    )
+    d = _fro(ab - ab.conj().T)
+    return d <= tol.eq_abs_tol or d <= tol.eq_abs_tol * max(1.0, _fro(a.entries) * _fro(b.entries))
 
 
 def rank_sensitive(operators, tol: Tolerances = DEFAULT_TOL, factor: float = 10.0) -> bool:

@@ -79,7 +79,7 @@ def _eff_range_projector(a: HermitianOperator, tol: Tolerances) -> Projector:
     rounding noise as range for such operators.) Memoized like
     `range_projector`, by operator identity."""
     if _zeroish(a, tol):
-        return Projector(np.zeros((a.dim, a.dim)))
+        return Projector._trusted(np.zeros((a.dim, a.dim), dtype=np.complex128))
     return range_projector(a, tol)
 
 
@@ -95,9 +95,8 @@ def logical_le(a: HermitianOperator, b: HermitianOperator, tol: Tolerances = DEF
 def orthogonal(a: HermitianOperator, b: HermitianOperator, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Whether the composition AB vanishes (a symmetric relation on self-adjoint pairs)."""
     _same_dim(a, b)
-    return _fro(a.entries @ b.entries) <= tol.eq_abs_tol * max(
-        1.0, a.norm() * b.norm()
-    )
+    d = _fro(a.entries @ b.entries)
+    return d <= tol.eq_abs_tol or d <= tol.eq_abs_tol * max(1.0, a.norm() * b.norm())
 
 
 def osum(a: HermitianOperator, b: HermitianOperator, tol: Tolerances = DEFAULT_TOL) -> HermitianOperator:
@@ -238,10 +237,8 @@ def _try_join(a: HermitianOperator, b: HermitianOperator, tol: Tolerances = DEFA
     if x.shape[1] == 0:
         return HermitianOperator.zero(a.dim)
     y = np.hstack([a.entries @ ua, b.entries @ ub])
-    d = y @ np.linalg.pinv(x, rcond=tol.rank_rel_tol)
-    try:
-        cand = HermitianOperator((d + d.conj().T) / 2.0)
-    except ValueError:
+    cand = symmetrized(y @ np.linalg.pinv(x, rcond=tol.rank_rel_tol))
+    if not np.all(np.isfinite(cand.entries)):
         return None
     if logical_le(a, cand, tol) and logical_le(b, cand, tol):
         return cand

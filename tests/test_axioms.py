@@ -1,8 +1,12 @@
+import collections
+import dataclasses
+
 import pytest
 
 from starorder.axioms import (
     CheckConfig,
     StructureHandle,
+    _SegmentContext,
     check_absorption_and_distributivity,
     check_gen_orthoalgebra,
     check_initial_segments_oml,
@@ -17,6 +21,7 @@ from starorder.axioms import (
 )
 from starorder.errors import InfiniteCarrier, OrthogonalityUnavailable, SubtractionUnavailable
 from starorder.models import pf_intersect, pf_structure, rv_structure
+from starorder.numerics import HermitianOperator
 from starorder.poset import (
     bad_orthogonality_fixture,
     boolean_cube,
@@ -190,6 +195,24 @@ def test_matrix_oml_segments_pass(rng):
     for r in check_initial_segments_oml(s, tops, CFG):
         assert r.verdict == "pass", (r.axiom, r.stats)
         assert r.stats["segments"] == 2
+
+
+def test_segment_complement_is_computed_once_per_index():
+    base = matrix_structure(dim=4)
+    calls = collections.Counter()
+
+    def counting(x, p):
+        calls[id(x)] += 1
+        return base.complement_in(x, p)
+
+    top = HermitianOperator.diagonal([1.0, 2.0, 3.0, 0.0])  # rank 3: 8 members
+    ctx = _SegmentContext(dataclasses.replace(base, complement_in=counting), top)
+    assert len(ctx.seg) == 8
+    for _ in range(3):
+        for i in range(len(ctx.seg)):
+            c = ctx.complement(i)
+            assert c is not None and ctx.complement(c) == i
+    assert len(calls) == len(ctx.seg) and max(calls.values()) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,16 @@ def test_compute_bck_zero_identity(capsys, mats):
     assert doc["result"]["entries"] == [[1.0, 0.0, 0.0], [0.0, 5.0, 0.0], [0.0, 0.0, 7.0]]
 
 
+@pytest.mark.parametrize("bad", ["Infinity", "-Infinity", "NaN"])
+def test_compute_non_finite_entry_is_exit_1(capsys, tmp_path, mats, bad):
+    # Python's JSON reader accepts these literals; the matrix boundary must not
+    path = tmp_path / "bad.json"
+    path.write_text('{"dim": 2, "entries": [[1, 0], [0, %s]]}' % bad)
+    code, out, err = run(capsys, "compute", "le", str(path), mats["ones"])
+    assert code == 1 and out == ""
+    assert "finite" in err
+
+
 def test_compute_join_takes_family_then_witness(capsys, tmp_path):
     a = write(tmp_path, "ja.json", {"entries": [[1, 0, 0], [0, 0, 0], [0, 0, 0]]})
     b = write(tmp_path, "jb.json", {"entries": [[0, 0, 0], [0, 2, 0], [0, 0, 0]]})
@@ -153,9 +163,10 @@ def test_verify_reports_are_byte_identical(tmp_path, capsys):
     assert (tmp_path / "r1.json").read_bytes() == (tmp_path / "r2.json").read_bytes()
 
 
-# SHA-256 of the report bytes, recorded before the meet and the skew meet
-# moved to the eigenvalue-cluster formula. The two finite models are exact;
-# the matrix report also rests on the floating point of numpy's LAPACK, so a
+# SHA-256 of the report bytes. The first three were recorded before the meet
+# and the skew meet moved to the eigenvalue-cluster formula, the last two
+# before internal results skipped the constructor checks. The two finite
+# models are exact; the matrix report also rests on the floating point of numpy's LAPACK, so a
 # mismatch on another build calls for reading the report, not a new digest.
 PINNED_REPORTS = [
     (["rv", "all", "--seed", "7"], "4e059c5f1915cc9a614a998e2a1b88dd76d68bacabb88be51d1a68340234d9bd"),
@@ -163,6 +174,14 @@ PINNED_REPORTS = [
     (
         ["matrix", "nearsemilattice", "skew", "goa", "--dim", "4", "--samples", "40", "--seed", "7"],
         "de79bf59f6366e0c32de9067b94dbf0180cb3275a8915961c517e16a6a750225",
+    ),
+    (
+        ["matrix", "ortho", "qom", "riesz", "oml", "--dim", "4", "--samples", "40", "--seed", "7"],
+        "ac96ff0c1c54c0b9aa1a4f21d277db6c5ef4871fdd413d6fcbd81310f718b135",
+    ),
+    (
+        ["matrix", "bck", "--dim", "4", "--samples", "40", "--seed", "7"],
+        "00fc57ba376f118bb3f110ad3d8d9422982ed223aa7730cff49af49853c1eb87",
     ),
 ]
 

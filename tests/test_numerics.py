@@ -20,6 +20,8 @@ from starorder.numerics import (
     range_projector,
     rank_sensitive,
 )
+from starorder.observables import bck_subtract, join_bounded, meet, meet_bounded, skew_meet
+from starorder.sampling import bounded_family
 
 from conftest import diag, random_projector
 
@@ -37,6 +39,14 @@ def test_constructor_symmetrizes_and_records_defect():
 def test_constructor_rejects_non_hermitian():
     with pytest.raises(ValueError):
         HermitianOperator([[0.0, 1.0], [-1.0, 0.0]])  # skew-symmetric
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_constructor_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        HermitianOperator([[1.0, 0.0], [0.0, bad]])
+    with pytest.raises(ValueError, match="finite"):
+        HermitianOperator([[1.0, complex(0.0, bad)], [complex(0.0, -bad), 1.0]])
 
 
 def test_constructor_rejects_non_square():
@@ -198,6 +208,46 @@ def test_verify_report_does_not_depend_on_the_caches(tmp_path, monkeypatch):
     monkeypatch.setattr(numerics, "_spectrum", numerics._spectrum.__wrapped__)
     assert main(argv + ["--out", str(tmp_path / "uncached.json")]) == 0
     assert (tmp_path / "cached.json").read_bytes() == (tmp_path / "uncached.json").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# results built inside the package skip the constructor checks
+
+
+def internal_results(rng, dim, scale):
+    """(operators, projectors): every kind of result the package builds
+    unchecked, from one bounded pair A, B below C and their range projections."""
+    c, (a, b) = bounded_family(rng, dim, 2)
+    c, a, b = (x.scaled(scale) for x in (c, a, b))
+    p, q = range_projector(a), range_projector(b)
+    ops = {
+        "meet": meet(a, b),
+        "skew_meet": skew_meet(a, b),
+        "bck_subtract": bck_subtract(b, a),
+        "join_bounded": join_bounded([a, b], c),
+        "meet_bounded": meet_bounded([a, b], c),
+    }
+    projs = {
+        "range_projector": p,
+        "proj_meet": proj_meet(p, q),
+        "proj_join": proj_join(p, q),
+        "complement": p.complement(),
+    }
+    return ops, projs
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e8])
+@pytest.mark.parametrize("dim", [4, 16, 64])
+def test_internal_results_would_pass_the_public_checks(rng, dim, scale):
+    for _ in range(3):
+        ops, projs = internal_results(rng, dim, scale)
+        for name, x in {**ops, **projs}.items():
+            # exactly self-adjoint: the checked constructor changes no bit
+            assert np.array_equal(HermitianOperator(x.entries).entries, x.entries), name
+            assert x.defect == 0.0, name
+            assert not x.entries.flags.writeable, name
+        for name, x in projs.items():
+            Projector(x.entries)  # idempotent, spectrum in {0, 1}
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from starorder.errors import DimMismatch, NotLess, NotOrthogonal, NotUpperBound
-from starorder.numerics import HermitianOperator, op_equal, proj_join, proj_meet, range_projector
+from starorder.numerics import HermitianOperator, eigh, op_equal, proj_join, proj_meet, range_projector
 from starorder.observables import (
     _try_join,
     bck_subtract,
@@ -439,3 +439,17 @@ def test_meet_and_skew_meet_are_unitarily_covariant(rng, dim, scale):
         assert op_equal(meet(ua, ub), conjugated(u, meet(a, b)))
         assert op_equal(skew_meet(ua, ub), conjugated(u, skew_meet(a, b)))
         assert op_equal(skew_meet(ub, ua), conjugated(u, skew_meet(b, a)))
+
+
+# Frobenius norms of such operands overflow to inf (see CHANGES.md); the
+# operations' results must not
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("seed", range(6))
+def test_results_stay_finite_near_the_largest_double(seed):
+    rng = np.random.default_rng(seed)
+    c, (a, b) = bounded_family(rng, 3, 2)
+    s = 6e307 / max(1.0, float(np.max(np.abs(eigh(c)[0]))))
+    c, a, b = c.scaled(s), a.scaled(s), b.scaled(s)
+    results = [meet(a, b), skew_meet(a, b), bck_subtract(b, a), join_bounded([a, b], c), _try_join(a, b)]
+    for x in results:
+        assert x is not None and np.all(np.isfinite(x.entries))
