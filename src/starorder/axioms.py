@@ -8,6 +8,15 @@ otherwise tuples are drawn from the structure's sampler under a per-axiom
 seeded stream, so repeated runs are bit-for-bit reproducible. Equality is
 always the structure's own hook; the harness never compares raw numbers.
 
+Each check indexes a finite carrier once on entry: its elements are
+recoded as the indices 0..n-1, and every hook is read through a row-lazy
+table whose row i is filled, on first use, by calling the real hook on
+(element i, y) for every y, with element results recoded as indices. So a
+hook runs at most n² times per check, however many tuples a law visits,
+and the law predicates are the same code on both kinds of carrier: table
+lookups on finite ones, the real hooks on sampled ones. Reports speak of
+the carrier's own elements again.
+
 Every check returns :class:`AxiomReport` records. A ``fail`` verdict
 carries witnesses that re-falsify the law when replayed through the same
 hooks (each report exposes a ``replay`` callable for exactly this).
@@ -75,8 +84,10 @@ class StructureHandle:
     existential complement clauses: given x below p it returns z with
     x perp z and x join z = p (or None when it cannot).
     ``segment(p)`` enumerates a finite family carrying the segment [0, p].
-    ``key`` is an exact canonical key, required for the faster exhaustive
-    checks; ``overridden`` supplies the range-containment preorder on
+    ``key`` is an optional exact canonical key: finite carriers find hook
+    results among their elements by it, and by an ``eq`` search without it.
+    A finite carrier must be closed under its hooks (a result outside it is
+    a ValueError). ``overridden`` supplies the range-containment preorder on
     sampled carriers, where it cannot be derived from orthogonality.
     """
 
@@ -134,6 +145,110 @@ class AxiomReport:
         }
 
 
+# ---------------------------------------------------------------------------
+# indexed finite carriers
+
+_PREDICATE_HOOKS = ("eq", "le", "perp", "overridden")
+_OPERATION_HOOKS = ("join", "meet", "skew", "subtract", "osum", "complement_in")
+
+
+@dataclass
+class _IndexedHandle(StructureHandle):
+    """A finite carrier recoded over the indices of ``carrier``, the source
+    structure's elements; ``encode(x, what)`` gives the index of one."""
+
+    carrier: tuple = ()
+    encode: Optional[Callable] = None
+
+
+def _encoder(structure):
+    """encode(x, what): the index of x among the carrier's elements, found by
+    `key` when the structure has one, else by an `eq` search; a ValueError
+    naming `what` when x is not there."""
+    elements, key, eq = structure.elements, structure.key, structure.eq
+    if key is not None:
+        index = {}
+        for i, e in enumerate(elements):
+            index.setdefault(key(e), i)
+
+        def find(x):
+            return index.get(key(x))
+    else:
+        def find(x):
+            return next((i for i, e in enumerate(elements) if eq(x, e)), None)
+
+    def encode(x, what):
+        i = find(x)
+        if i is None:
+            raise ValueError(f"{structure.name}: {what} {structure.describe(x)} is outside the finite carrier")
+        return i
+
+    return encode
+
+
+def _row_table(hook, elements, cell=None):
+    """hook(elements[i], elements[k]) as lookup(i, k); row i is filled by
+    the first lookup with left operand i, each result passed through cell."""
+    rows = [None] * len(elements)
+
+    def lookup(i, k):
+        row = rows[i]
+        if row is None:
+            x = elements[i]
+            row = [hook(x, y) for y in elements]
+            row = rows[i] = row if cell is None else [cell(r) for r in row]
+        return row[k]
+
+    return lookup
+
+
+def _indexed(structure: StructureHandle) -> StructureHandle:
+    """The structure with a finite carrier recoded over indices 0..n-1 and
+    every hook read through a row-lazy table; sampled and already indexed
+    structures are returned as they are. Nothing is cached across calls."""
+    if not structure.finite or isinstance(structure, _IndexedHandle):
+        return structure
+    elements = tuple(structure.elements)
+    encode = _encoder(structure)
+    hooks = {}
+    for name in _PREDICATE_HOOKS + _OPERATION_HOOKS:
+        hook = getattr(structure, name)
+        if hook is None:
+            hooks[name] = None
+        elif name in _PREDICATE_HOOKS:
+            hooks[name] = _row_table(hook, elements)
+        else:
+            what = f"the {name} hook's result"
+            hooks[name] = _row_table(
+                hook, elements, lambda r, _what=what: None if r is None else encode(r, _what)
+            )
+    segment = structure.segment
+    if segment is not None:
+        hooks["segment"] = lambda p: [encode(x, "a segment member") for x in segment(elements[p])]
+    describe = structure.describe
+    return _IndexedHandle(
+        name=structure.name,
+        zero=encode(structure.zero, "the zero"),
+        elements=tuple(range(len(elements))),
+        # key(i): the first index whose element equals element i
+        key=[encode(e, "the element") for e in elements].__getitem__,
+        describe=lambda i: describe(elements[i]),
+        tolerance=structure.tolerance,
+        carrier=elements,
+        encode=encode,
+        **hooks,
+    )
+
+
+def _replayable(structure, replay):
+    """Replay on carrier elements for a predicate written on the structure's
+    own (possibly indexed) elements."""
+    if not isinstance(structure, _IndexedHandle):
+        return replay
+    encode = structure.encode
+    return lambda tup: replay(tuple(encode(x, "the witness element") for x in tup))
+
+
 def _stream_rng(config: CheckConfig, axiom: str) -> np.random.Generator:
     # one independent, reproducible stream per (seed, axiom) pair
     return np.random.default_rng([int(config.seed), zlib.crc32(axiom.encode("utf-8"))])
@@ -142,6 +257,8 @@ def _stream_rng(config: CheckConfig, axiom: str) -> np.random.Generator:
 def _finish(structure, config, axiom, mode, count, failures, witnesses, replay, *, derived=False, informational=False, note=""):
     desc = tuple(tuple(structure.describe(e) for e in w) for w in witnesses)
     order = sorted(range(len(witnesses)), key=lambda i: desc[i])
+    if isinstance(structure, _IndexedHandle):
+        witnesses = [tuple(structure.carrier[i] for i in w) for w in witnesses]
     witnesses = tuple(witnesses[i] for i in order)
     desc = tuple(desc[i] for i in order)
     if informational:
@@ -157,7 +274,31 @@ def _finish(structure, config, axiom, mode, count, failures, witnesses, replay, 
         tolerance=structure.tolerance,
         derived=derived,
         note=note,
-        replay=replay,
+        replay=_replayable(structure, replay),
+    )
+
+
+def _merged(structure, axiom, parts, replay):
+    """One report for a law checked in parts, such as ⊑1 as reflexivity and
+    transitivity; `replay` re-checks a witness of any part."""
+    verdicts = [p.verdict for p in parts]
+    return AxiomReport(
+        axiom=axiom,
+        verdict=(
+            "informational"
+            if "informational" in verdicts
+            else ("pass" if all(p.passed for p in parts) else "fail")
+        ),
+        witnesses=sum((p.witnesses for p in parts), ()),
+        witness_desc=sum((p.witness_desc for p in parts), ()),
+        stats={
+            "mode": parts[0].stats["mode"],
+            "tuples": sum(p.stats["tuples"] for p in parts),
+            "failures": sum(p.stats["failures"] for p in parts),
+        },
+        tolerance=structure.tolerance,
+        note=parts[0].note,
+        replay=_replayable(structure, replay),
     )
 
 
@@ -224,6 +365,7 @@ def _dedupe(items, eq):
 def check_nearsemilattice(structure: StructureHandle, config: CheckConfig = DEFAULT_CONFIG):
     """The partial-join axioms: idempotence, commutativity, associativity with
     definedness transfer, and zero as a unit."""
+    structure = _indexed(structure)
     j, eq, zero = structure.join, structure.eq, structure.zero
 
     def v1(x):
@@ -274,18 +416,18 @@ def _check_v5(structure, config, *, axiom="∨5", use_perp=False):
             tolerance=structure.tolerance,
             note="existence clause not decidable by sampling; no decomposition constructor registered",
         )
-    j, le, eq, perp = structure.join, structure.le, structure.eq, structure.perp
+    j, le, eq, perp, key = structure.join, structure.le, structure.eq, structure.perp, structure.key
     if use_perp and perp is None:
         raise OrthogonalityUnavailable("Riesz check needs an orthogonality hook")
-    key = structure.key
-    elements = structure.elements
-    down = {id(y): [u for u in elements if le(u, y)] for y in elements}
+    elements = structure.elements  # indices: the carrier is indexed
+    down = [[u for u in elements if le(u, y)] for y in elements]
     count = failures = 0
     witnesses = []
 
     def decomposable(x, y, z):
-        for a in down[id(y)]:
-            for b in down[id(z)]:
+        # replay only; the sweep below collects the achievable joins per (y, z)
+        for a in down[y]:
+            for b in down[z]:
                 if use_perp and not perp(a, b):
                     continue
                 r = j(a, b)
@@ -308,22 +450,19 @@ def _check_v5(structure, config, *, axiom="∨5", use_perp=False):
             top = j(y, z)
             if top is None:
                 continue
-            ach = None
-            if key is not None:
-                ach = set()
-                for a in down[id(y)]:
-                    for b in down[id(z)]:
-                        if use_perp and not perp(a, b):
-                            continue
-                        r = j(a, b)
-                        if r is not None:
-                            ach.add(key(r))
+            ach = set()
+            for a in down[y]:
+                for b in down[z]:
+                    if use_perp and not perp(a, b):
+                        continue
+                    r = j(a, b)
+                    if r is not None:
+                        ach.add(key(r))
             for x in elements:
                 if not le(x, top):
                     continue
                 count += 1
-                ok = key(x) in ach if ach is not None else decomposable(x, y, z)
-                if not ok:
+                if key(x) not in ach:
                     failures += 1
                     if len(witnesses) < config.max_witnesses:
                         witnesses.append((x, y, z))
@@ -335,6 +474,7 @@ def _check_v5(structure, config, *, axiom="∨5", use_perp=False):
 
 def check_absorption_and_distributivity(structure: StructureHandle, config: CheckConfig = DEFAULT_CONFIG):
     """Absorption laws tying meet to the partial join, plus distributivity."""
+    structure = _indexed(structure)
     meet_fn = _brute_meet_fn(structure)
     j, eq = structure.join, structure.eq
 
@@ -371,6 +511,7 @@ def _require_perp(structure):
 
 def check_orthogonality(structure: StructureHandle, config: CheckConfig = DEFAULT_CONFIG):
     """Symmetry, downward closure, zero-orthogonality, and additivity."""
+    structure = _indexed(structure)
     perp = _require_perp(structure)
     j, le, zero = structure.join, structure.le, structure.zero
 
@@ -429,6 +570,7 @@ def check_quasi_orthomodular(structure: StructureHandle, config: CheckConfig = D
 
     A failing derived law while the defining laws pass points at a harness
     or tolerance problem, and is flagged as such in the report note."""
+    structure = _indexed(structure)
     perp = _require_perp(structure)
     j, le, eq, zero = structure.join, structure.le, structure.eq, structure.zero
 
@@ -512,6 +654,7 @@ def _oplus_fn(structure):
 def check_gen_orthoalgebra(structure: StructureHandle, config: CheckConfig = DEFAULT_CONFIG):
     """The orthosum laws, with the sum derived from join and orthogonality,
     its natural-order law, and consistency with the native orthosum hook."""
+    structure = _indexed(structure)
     _require_perp(structure)
     o = _oplus_fn(structure)
     j, le, eq, zero, perp = structure.join, structure.le, structure.eq, structure.zero, structure.perp
@@ -589,31 +732,16 @@ def check_gen_orthoalgebra(structure: StructureHandle, config: CheckConfig = DEF
         else _run_axiom(structure, config, "le/oplus", 2, le_oplus_forward)
     )
     bwd = _run_axiom(structure, config, "le/oplus←", 2, le_oplus_backward)
-    merged = AxiomReport(
-        axiom="le/oplus",
-        verdict=(
-            "informational"
-            if "informational" in (fwd.verdict, bwd.verdict)
-            else ("pass" if fwd.passed and bwd.passed else "fail")
-        ),
-        witnesses=fwd.witnesses + bwd.witnesses,
-        witness_desc=fwd.witness_desc + bwd.witness_desc,
-        stats={
-            "mode": fwd.stats["mode"],
-            "tuples": fwd.stats["tuples"] + bwd.stats["tuples"],
-            "failures": fwd.stats["failures"] + bwd.stats["failures"],
-        },
-        tolerance=structure.tolerance,
-        note=fwd.note,
-        replay=lambda tup: le_oplus_forward(*tup) and le_oplus_backward(*tup),
+    reports.append(
+        _merged(structure, "le/oplus", [fwd, bwd], lambda tup: le_oplus_forward(*tup) and le_oplus_backward(*tup))
     )
-    reports.append(merged)
     reports.append(_run_axiom(structure, config, "oplus/vee", 2, oplus_vee))
     return reports
 
 
 def check_riesz(structure: StructureHandle, config: CheckConfig = DEFAULT_CONFIG):
     """Riesz decomposition, distributivity, and the theorem tying them together."""
+    structure = _indexed(structure)
     if not structure.finite:
         raise InfiniteCarrier("the Riesz decomposition search requires a finite carrier")
     _require_perp(structure)
@@ -638,6 +766,7 @@ def check_riesz(structure: StructureHandle, config: CheckConfig = DEFAULT_CONFIG
 def check_weak_bck(structure: StructureHandle, config: CheckConfig = DEFAULT_CONFIG):
     """The three weak-BCK laws for the total subtraction, and the identity
     tying subtraction to the sectional complement of the meet."""
+    structure = _indexed(structure)
     if structure.subtract is None:
         raise SubtractionUnavailable(f"structure {structure.name} has no subtraction hook")
     sub, le, eq, zero, j = structure.subtract, structure.le, structure.eq, structure.zero, structure.join
@@ -687,58 +816,33 @@ def check_weak_bck(structure: StructureHandle, config: CheckConfig = DEFAULT_CON
 class _SqContext:
     """Resolves the overriding preorder and the skew meet for a structure.
 
-    On finite carriers the preorder is derived from orthogonality by
-    definition (z perp y only if z perp x) via cached boolean tables, and
-    the skew meet can be brute-forced as max{u : u overridden-by x, u <= y}.
-    Sampled carriers must register `overridden` (and usually `skew`) hooks.
+    On indexed finite carriers the preorder is derived from orthogonality by
+    definition (x is overridden by y when every z perp y is also perp x) as
+    a table over indices, and the skew meet can be brute-forced as
+    max{u : u overridden-by x, u <= y}. Sampled carriers must register
+    `overridden` (and usually `skew`) hooks.
     """
 
     def __init__(self, structure: StructureHandle):
         self.structure = structure
         perp = _require_perp(structure)
         if structure.finite:
-            elements = list(structure.elements)
-            n = len(elements)
-            key = structure.key
-            if key is None:
-                raise ValueError("finite carriers need a `key` hook for the overriding checks")
-            self._elements = elements
-            self._index = {key(e): i for i, e in enumerate(elements)}
-            self._key = key
-            perp_mat = np.zeros((n, n), dtype=bool)
-            le_mat = np.zeros((n, n), dtype=bool)
-            for i, x in enumerate(elements):
-                for k, y in enumerate(elements):
-                    perp_mat[i, k] = perp(x, y)
-                    le_mat[i, k] = structure.le(x, y)
-            sq_mat = np.zeros((n, n), dtype=bool)
-            for i in range(n):
-                for k in range(n):
-                    sq_mat[i, k] = bool(np.all(~perp_mat[:, k] | perp_mat[:, i]))
-            self._perp_mat, self._le_mat, self._sq_mat = perp_mat, le_mat, sq_mat
+            elements = structure.elements
+            p = np.array([[perp(x, y) for y in elements] for x in elements], dtype=bool)
+            # sq[x][y]: no z has z perp y without z perp x
+            rows = ((~p).T.astype(np.int64) @ p.astype(np.int64) == 0).tolist()
+            self.sq = lambda x, y: rows[x][y]
+        elif structure.overridden is None:
+            raise OrthogonalityUnavailable("sampled carriers need an `overridden` hook for the overriding checks")
         else:
-            if structure.overridden is None:
-                raise OrthogonalityUnavailable(
-                    "sampled carriers need an `overridden` hook for the overriding checks"
-                )
-
-    def _i(self, x):
-        return self._index.get(self._key(x))
-
-    def sq(self, x, y) -> bool:
-        if self.structure.finite:
-            ix, iy = self._i(x), self._i(y)
-            if ix is None or iy is None:
-                raise ValueError("element outside the finite carrier")
-            return bool(self._sq_mat[ix, iy])
-        return self.structure.overridden(x, y)
+            self.sq = structure.overridden
 
     def brute_skew(self, x, y):
-        ix, iy = self._i(x), self._i(y)
-        cands = [u for u in range(len(self._elements)) if self._sq_mat[u, ix] and self._le_mat[u, iy]]
+        le, sq = self.structure.le, self.sq
+        cands = [u for u in self.structure.elements if sq(u, x) and le(u, y)]
         for c in cands:
-            if all(self._le_mat[u, c] for u in cands):
-                return self._elements[c]
+            if all(le(u, c) for u in cands):
+                return c
         return None
 
     def skew(self, x, y):
@@ -756,6 +860,7 @@ def check_overriding_and_skew(structure: StructureHandle, config: CheckConfig = 
     sampled carriers it is reported as informational (the unique candidate
     witness is the skew meet itself, so the search is a counterexample
     search, never a pass/fail gate)."""
+    structure = _indexed(structure)
     ctx = _SqContext(structure)
     s = ctx.skew
     sq = ctx.sq
@@ -827,21 +932,8 @@ def check_overriding_and_skew(structure: StructureHandle, config: CheckConfig = 
 
     refl = _run_axiom(structure, config, "⊑1refl", 1, sq1_refl)
     trans = _run_axiom(structure, config, "⊑1trans", 3, sq1_trans)
-    sq1 = AxiomReport(
-        axiom="⊑1",
-        verdict="pass" if refl.passed and trans.passed else "fail",
-        witnesses=refl.witnesses + trans.witnesses,
-        witness_desc=refl.witness_desc + trans.witness_desc,
-        stats={
-            "mode": refl.stats["mode"],
-            "tuples": refl.stats["tuples"] + trans.stats["tuples"],
-            "failures": refl.stats["failures"] + trans.stats["failures"],
-        },
-        tolerance=structure.tolerance,
-        replay=lambda tup: sq1_refl(*tup) if len(tup) == 1 else sq1_trans(*tup),
-    )
     reports = [
-        sq1,
+        _merged(structure, "⊑1", [refl, trans], lambda tup: sq1_refl(*tup) if len(tup) == 1 else sq1_trans(*tup)),
         _run_axiom(structure, config, "⊑2", 2, sq2),
         _run_axiom(structure, config, "⊑3", 2, sq3),
         _run_axiom(structure, config, "⊑4", 3, sq4),
@@ -1013,7 +1105,10 @@ def check_initial_segments_oml(structure: StructureHandle, tops: Sequence, confi
     sampled carriers) and all joins/meets are brute-forced within it from
     the order alone, independently of any join/meet hooks. One report per
     law, aggregated over segments; witnesses carry the top first."""
+    structure = _indexed(structure)
     _require_perp(structure)
+    if isinstance(structure, _IndexedHandle):
+        tops = [structure.encode(p, "the segment top") for p in tops]
     tops = list(tops)
     counts = {law: [0, 0, []] for law in _OML_LAWS}
     for p in tops:

@@ -213,7 +213,16 @@ def _arrays_close(x, y, tol: Tolerances) -> bool:
     # the package-wide equality: ||X - Y||_F <= eq_abs_tol * max(1, ||X||, ||Y||),
     # with the norms taken only when needed (tol * max(1, x) = max(tol, tol * x))
     d = _fro(x - y)
-    return d <= tol.eq_abs_tol or d <= tol.eq_abs_tol * max(1.0, _fro(x), _fro(y))
+    if d <= tol.eq_abs_tol:
+        return True
+    nx, ny = _fro(x), _fro(y)
+    if math.isinf(max(d, nx, ny)):
+        # a norm overflowed: decide on copies divided by the largest entry
+        # magnitude s, where the threshold max(1, ...) becomes max(1/s, ...)
+        s = max(float(np.max(np.abs(x))), float(np.max(np.abs(y))))
+        x, y = x / s, y / s
+        return _fro(x - y) <= tol.eq_abs_tol * max(1.0 / s, _fro(x), _fro(y))
+    return d <= tol.eq_abs_tol * max(1.0, nx, ny)
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:

@@ -7,6 +7,8 @@ from starorder.axioms import (
     CheckConfig,
     StructureHandle,
     _SegmentContext,
+    _SqContext,
+    _indexed,
     check_absorption_and_distributivity,
     check_gen_orthoalgebra,
     check_initial_segments_oml,
@@ -29,6 +31,7 @@ from starorder.poset import (
     o6,
     pentagon_broken_join,
     trivial_poset,
+    v_poset,
 )
 from starorder.sampling import matrix_structure, random_spectrum_hermitian
 
@@ -251,14 +254,96 @@ def test_sampled_reports_are_deterministic():
 
 
 def test_failure_witnesses_replay():
-    for suite_reports in (
-        check_quasi_orthomodular(o6().as_structure(), CFG),
-        check_riesz(mo2().as_structure(), CFG),
-        check_nearsemilattice(pentagon_broken_join(), CFG),
+    hexagon, modular, pentagon = o6().as_structure(), mo2().as_structure(), pentagon_broken_join()
+    bad_perp = bad_orthogonality_fixture()
+    bad_skew = StructureHandle(**{**pf_structure().__dict__, "skew": pf_intersect})
+    replayed = 0
+    for structure, suite_reports in (
+        (hexagon, check_quasi_orthomodular(hexagon, CFG)),
+        (modular, check_riesz(modular, CFG)),
+        (pentagon, check_nearsemilattice(pentagon, CFG)),
+        (hexagon, check_initial_segments_oml(hexagon, hexagon.elements, CFG)),
+        (bad_perp, check_gen_orthoalgebra(bad_perp, CFG)),  # a merged le/oplus witness
+        (bad_skew, check_overriding_and_skew(bad_skew, CFG)),
     ):
         for r in suite_reports:
             for w in r.witnesses:
+                # witnesses are carrier elements, not the harness's indices
+                assert all(e in structure.elements for e in w), (r.axiom, w)
                 assert r.replay(w) is False, (r.axiom, w)
+                replayed += 1
+    assert replayed >= 20
+
+
+def test_finite_hooks_run_at_most_once_per_pair():
+    plain = rv_structure()
+    n = len(plain.elements)
+    calls = collections.Counter()
+
+    def counted(name, hook):
+        def wrapper(*args):
+            calls[name] += 1
+            return hook(*args)
+
+        return wrapper
+
+    hooks = {f.name: getattr(plain, f.name) for f in dataclasses.fields(plain)}
+    wrapped = dataclasses.replace(
+        plain, **{name: counted(name, h) for name, h in hooks.items() if callable(h)}
+    )
+    reports = check_overriding_and_skew(wrapped, CFG)
+    binary = ("eq", "le", "join", "perp", "meet", "skew", "subtract", "osum", "overridden", "complement_in")
+    assert {"eq", "le", "join", "perp", "meet", "skew"} <= set(calls)
+    assert all(calls[name] <= n * n for name in binary), calls
+    assert [r.to_dict() for r in reports] == [r.to_dict() for r in check_overriding_and_skew(plain, CFG)]
+
+
+def test_hook_result_outside_the_finite_carrier_is_an_error():
+    s = StructureHandle(
+        name="leaky",
+        zero=0,
+        eq=lambda a, b: a == b,
+        le=lambda a, b: a <= b,
+        join=lambda a, b: a + b,  # 1 v 1 = 2 is not an element
+        elements=(0, 1),
+        key=lambda x: x,
+    )
+    with pytest.raises(ValueError, match="join"):
+        check_nearsemilattice(s, CFG)
+    with pytest.raises(ValueError, match="join"):
+        check_nearsemilattice(dataclasses.replace(s, key=None), CFG)
+
+
+def test_finite_carrier_without_key_gives_the_same_reports():
+    keyed = pf_structure()
+    unkeyed = dataclasses.replace(keyed, key=None)
+    for suite in ("nearsemilattice", "ortho", "qom", "goa", "riesz", "bck", "skew", "oml"):
+        expected = run_suite(keyed, suite, CFG)
+        got = run_suite(unkeyed, suite, CFG)
+        assert [r.to_dict() for r in got] == [r.to_dict() for r in expected], suite
+        assert [r.witnesses for r in got] == [r.witnesses for r in expected], suite
+
+
+@pytest.mark.parametrize("poset", [o6, mo2, lambda: boolean_cube(3)], ids=["o6", "mo2", "boolean3"])
+def test_overriding_table_matches_its_definition(poset):
+    p = poset()
+    s = _indexed(p.as_structure())
+    sq = _SqContext(s).sq
+    for i, x in enumerate(p.elements):
+        for k, y in enumerate(p.elements):
+            assert sq(i, k) == p.overriding(x, y), (x, y)
+
+
+def test_indexing_is_idempotent_and_uncached():
+    s = v_poset().as_structure()
+    indexed = _indexed(s)
+    assert _indexed(indexed) is indexed
+    assert _indexed(s) is not indexed
+    assert indexed.elements == tuple(range(len(s.elements)))
+    assert s.elements[indexed.zero] == s.zero
+    assert all(indexed.le(indexed.zero, i) for i in indexed.elements)
+    sampled = matrix_structure(dim=2)
+    assert _indexed(sampled) is sampled
 
 
 def test_structural_errors():

@@ -69,6 +69,15 @@ def test_compute_non_finite_entry_is_exit_1(capsys, tmp_path, mats, bad):
     assert "finite" in err
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_compute_le_where_norms_overflow(capsys, tmp_path):
+    a = write(tmp_path, "big_a.json", {"dim": 2, "entries": [[1e200, 0], [0, 0]]})
+    b = write(tmp_path, "big_b.json", {"dim": 2, "entries": [[-1e200, 0], [0, 0]]})
+    code, out, _ = run(capsys, "compute", "le", a, b)
+    assert code == 0
+    assert json.loads(out)["result"] == {"value": False}
+
+
 def test_compute_join_takes_family_then_witness(capsys, tmp_path):
     a = write(tmp_path, "ja.json", {"entries": [[1, 0, 0], [0, 0, 0], [0, 0, 0]]})
     b = write(tmp_path, "jb.json", {"entries": [[0, 0, 0], [0, 2, 0], [0, 0, 0]]})
@@ -190,6 +199,25 @@ PINNED_REPORTS = [
 def test_verify_report_matches_pinned_digest(tmp_path, argv, digest):
     out = tmp_path / "report.json"
     assert main(["verify", *argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# Exhaustive reports on the poset fixtures, with their exit codes. The report
+# embeds the target as given, so these run from the repository root with the
+# relative path. Digests recorded, with the method above, before the finite
+# carriers were indexed.
+PINNED_FIXTURE_REPORTS = [
+    ("boolean4", 0, "b4b9ee71b0d641d73e65cffec50908a3cc6e9ccccdeefd2d30fc28b1cc9068fd"),
+    ("o6", 1, "b3a25cfc4381688db7ec4b4e451899773d08ac34c8904ceb48a35f280da5867e"),
+    ("mo2", 1, "e59098d55f2546aa4f1ce862df1930b7cac92892c82854d36fdb58d2b9fd10ed"),
+]
+
+
+@pytest.mark.parametrize("fixture, code, digest", PINNED_FIXTURE_REPORTS)
+def test_verify_fixture_report_matches_pinned_digest(tmp_path, monkeypatch, fixture, code, digest):
+    monkeypatch.chdir(FIXTURES.parent)
+    out = tmp_path / "report.json"
+    assert main(["verify", f"fixtures/{fixture}.json", "all", "--seed", "7", "--out", str(out)]) == code
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 

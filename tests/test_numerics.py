@@ -334,6 +334,20 @@ def test_op_equal_examples():
         op_equal(a, diag(1, 0, 0))
 
 
+# Frobenius norms of such operands overflow to inf; equality must still
+# compare them, not accept every pair whose difference norm overflows
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_op_equal_when_norms_overflow():
+    assert not op_equal(diag(1e200, 0), diag(0, 1e200))
+    assert not observables.logical_le(diag(1e200, 0), diag(-1e200, 0))
+    assert op_equal(diag(1e200, -1e200), diag(1e200, -1e200))
+    assert op_equal(diag(1e200, 3e200), diag(1e200, 3e200 * (1 + 1e-12)))
+    assert observables.logical_le(diag(1e200, 0), diag(1e200, 5e300))
+    # the difference norm is finite but the operand norms overflow
+    assert not op_equal(diag(1e155, 0), diag(1e155, 1e150))
+    assert op_equal(diag(1e155, 0), diag(1e155, 1e140))
+
+
 def test_commutes_examples():
     assert commutes(diag(1, 2), diag(3, 4))
     b = HermitianOperator([[0.0, 1.0], [1.0, 0.0]])

@@ -441,6 +441,18 @@ def test_meet_and_skew_meet_are_unitarily_covariant(rng, dim, scale):
         assert op_equal(skew_meet(ub, ua), conjugated(u, skew_meet(b, a)))
 
 
+# the order is homogeneous where the Frobenius norms overflow: each pair
+# compares at 1e200 as it does at unit scale
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("dim", [3, 4])
+def test_logical_le_is_homogeneous_where_norms_overflow(dim):
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        _, (a, b) = bounded_family(rng, dim, 2)
+        assert logical_le(a.scaled(1e200), b.scaled(1e200)) == logical_le(a, b)
+        assert logical_le(b.scaled(1e200), a.scaled(1e200)) == logical_le(b, a)
+
+
 # Frobenius norms of such operands overflow to inf (see CHANGES.md); the
 # operations' results must not
 @pytest.mark.filterwarnings("ignore:overflow encountered")
