@@ -15,7 +15,9 @@ table whose row i is filled, on first use, by calling the real hook on
 hook runs at most n² times per check, however many tuples a law visits,
 and the law predicates are the same code on both kinds of carrier: table
 lookups on finite ones, the real hooks on sampled ones. Reports speak of
-the carrier's own elements again.
+the carrier's own elements again. Each initial segment [0, p] is indexed
+the same way, as a finite carrier of its own, so the segment laws are
+table lookups on either kind of carrier.
 
 Every check returns :class:`AxiomReport` records. A ``fail`` verdict
 carries witnesses that re-falsify the law when replayed through the same
@@ -83,7 +85,8 @@ class StructureHandle:
     ``complement_in(x, p)`` is the registered witness constructor for the
     existential complement clauses: given x below p it returns z with
     x perp z and x join z = p (or None when it cannot).
-    ``segment(p)`` enumerates a finite family carrying the segment [0, p].
+    ``segment(p)`` enumerates a finite family carrying the segment [0, p],
+    zero included; members equal under ``eq`` count once, the first kept.
     ``key`` is an optional exact canonical key: finite carriers find hook
     results among their elements by it, and by an ``eq`` search without it.
     A finite carrier must be closed under its hooks (a result outside it is
@@ -155,16 +158,18 @@ _OPERATION_HOOKS = ("join", "meet", "skew", "subtract", "osum", "complement_in")
 @dataclass
 class _IndexedHandle(StructureHandle):
     """A finite carrier recoded over the indices of ``carrier``, the source
-    structure's elements; ``encode(x, what)`` gives the index of one."""
+    structure's elements; ``find(x)`` gives the index of one or None, and
+    ``encode(x, what)`` the index or a ValueError."""
 
     carrier: tuple = ()
+    find: Optional[Callable] = None
     encode: Optional[Callable] = None
 
 
 def _encoder(structure):
-    """encode(x, what): the index of x among the carrier's elements, found by
-    `key` when the structure has one, else by an `eq` search; a ValueError
-    naming `what` when x is not there."""
+    """find(x): the first index of x among the carrier's elements, found by
+    `key` when the structure has one, else by an `eq` search, or None;
+    encode(x, what): the same, with a ValueError naming `what` for None."""
     elements, key, eq = structure.elements, structure.key, structure.eq
     if key is not None:
         index = {}
@@ -183,7 +188,7 @@ def _encoder(structure):
             raise ValueError(f"{structure.name}: {what} {structure.describe(x)} is outside the finite carrier")
         return i
 
-    return encode
+    return find, encode
 
 
 def _row_table(hook, elements, cell=None):
@@ -209,7 +214,7 @@ def _indexed(structure: StructureHandle) -> StructureHandle:
     if not structure.finite or isinstance(structure, _IndexedHandle):
         return structure
     elements = tuple(structure.elements)
-    encode = _encoder(structure)
+    find, encode = _encoder(structure)
     hooks = {}
     for name in _PREDICATE_HOOKS + _OPERATION_HOOKS:
         hook = getattr(structure, name)
@@ -235,6 +240,7 @@ def _indexed(structure: StructureHandle) -> StructureHandle:
         describe=lambda i: describe(elements[i]),
         tolerance=structure.tolerance,
         carrier=elements,
+        find=find,
         encode=encode,
         **hooks,
     )
@@ -332,30 +338,33 @@ def _skipped(axiom: str, reason: str) -> AxiomReport:
     return AxiomReport(axiom=axiom, verdict="skipped", stats={"mode": "skipped", "tuples": 0, "failures": 0}, note=reason)
 
 
+def _unregistered(structure, axiom, note):
+    """The informational report of an existential clause on a sampled
+    carrier that has no registered witness constructor."""
+    return AxiomReport(
+        axiom=axiom,
+        verdict="informational",
+        stats={"mode": "sampled", "tuples": 0, "failures": 0},
+        tolerance=structure.tolerance,
+        note=note,
+    )
+
+
+def _greatest(candidates, le):
+    """The first candidate that every candidate is below, or None."""
+    for c in candidates:
+        if all(le(u, c) for u in candidates):
+            return c
+    return None
+
+
 def _brute_meet_fn(structure):
     if structure.meet is not None:
         return structure.meet
     if not structure.finite:
         raise MeetUnavailable("no meet hook and the carrier is not finite")
-    elements = structure.elements
-    le = structure.le
-
-    def brute(x, y):
-        lows = [u for u in elements if le(u, x) and le(u, y)]
-        for u in lows:
-            if all(le(v, u) for v in lows):
-                return u
-        return None
-
-    return brute
-
-
-def _dedupe(items, eq):
-    out = []
-    for x in items:
-        if not any(eq(x, y) for y in out):
-            out.append(x)
-    return out
+    elements, le = structure.elements, structure.le
+    return lambda x, y: _greatest([u for u in elements if le(u, x) and le(u, y)], le)
 
 
 # ---------------------------------------------------------------------------
@@ -409,12 +418,8 @@ def _check_v5(structure, config, *, axiom="∨5", use_perp=False):
     use_perp, the Riesz property (⊕6). Exhaustive only; on sampled carriers
     the existence clause is undecidable without a registered constructor."""
     if not structure.finite:
-        return AxiomReport(
-            axiom=axiom,
-            verdict="informational",
-            stats={"mode": "sampled", "tuples": 0, "failures": 0},
-            tolerance=structure.tolerance,
-            note="existence clause not decidable by sampling; no decomposition constructor registered",
+        return _unregistered(
+            structure, axiom, "existence clause not decidable by sampling; no decomposition constructor registered"
         )
     j, le, eq, perp, key = structure.join, structure.le, structure.eq, structure.perp, structure.key
     if use_perp and perp is None:
@@ -614,13 +619,7 @@ def check_quasi_orthomodular(structure: StructureHandle, config: CheckConfig = D
     reports = [
         _run_axiom(structure, config, "⊥5", 2, p5),
         (
-            AxiomReport(
-                axiom="⊥6",
-                verdict="informational",
-                stats={"mode": "sampled", "tuples": 0, "failures": 0},
-                tolerance=structure.tolerance,
-                note="no sectional-complement constructor registered",
-            )
+            _unregistered(structure, "⊥6", "no sectional-complement constructor registered")
             if missing_constructor
             else _run_axiom(structure, config, "⊥6", 2, p6)
         ),
@@ -721,13 +720,7 @@ def check_gen_orthoalgebra(structure: StructureHandle, config: CheckConfig = DEF
     ]
     missing_constructor = not structure.finite and structure.complement_in is None
     fwd = (
-        AxiomReport(
-            axiom="le/oplus",
-            verdict="informational",
-            stats={"mode": "sampled", "tuples": 0, "failures": 0},
-            tolerance=structure.tolerance,
-            note="no sectional-complement constructor registered",
-        )
+        _unregistered(structure, "le/oplus", "no sectional-complement constructor registered")
         if missing_constructor
         else _run_axiom(structure, config, "le/oplus", 2, le_oplus_forward)
     )
@@ -813,44 +806,21 @@ def check_weak_bck(structure: StructureHandle, config: CheckConfig = DEFAULT_CON
 # overriding and skew meets
 
 
-class _SqContext:
-    """Resolves the overriding preorder and the skew meet for a structure.
-
-    On indexed finite carriers the preorder is derived from orthogonality by
-    definition (x is overridden by y when every z perp y is also perp x) as
-    a table over indices, and the skew meet can be brute-forced as
-    max{u : u overridden-by x, u <= y}. Sampled carriers must register
-    `overridden` (and usually `skew`) hooks.
-    """
-
-    def __init__(self, structure: StructureHandle):
-        self.structure = structure
-        perp = _require_perp(structure)
-        if structure.finite:
-            elements = structure.elements
-            p = np.array([[perp(x, y) for y in elements] for x in elements], dtype=bool)
-            # sq[x][y]: no z has z perp y without z perp x
-            rows = ((~p).T.astype(np.int64) @ p.astype(np.int64) == 0).tolist()
-            self.sq = lambda x, y: rows[x][y]
-        elif structure.overridden is None:
-            raise OrthogonalityUnavailable("sampled carriers need an `overridden` hook for the overriding checks")
-        else:
-            self.sq = structure.overridden
-
-    def brute_skew(self, x, y):
-        le, sq = self.structure.le, self.sq
-        cands = [u for u in self.structure.elements if sq(u, x) and le(u, y)]
-        for c in cands:
-            if all(le(u, c) for u in cands):
-                return c
-        return None
-
-    def skew(self, x, y):
-        if self.structure.skew is not None:
-            return self.structure.skew(x, y)
-        if self.structure.finite:
-            return self.brute_skew(x, y)
-        raise OrthogonalityUnavailable("no skew hook and the carrier is not finite")
+def _overriding(structure):
+    """The overriding preorder. On indexed finite carriers it is derived from
+    orthogonality by definition (x is overridden by y when every z perp y is
+    also perp x) as a table over indices; sampled carriers must register an
+    `overridden` hook."""
+    perp = _require_perp(structure)
+    if structure.finite:
+        elements = structure.elements
+        p = np.array([[perp(x, y) for y in elements] for x in elements], dtype=bool)
+        # sq[x][y]: no z has z perp y without z perp x
+        rows = ((~p).T.astype(np.int64) @ p.astype(np.int64) == 0).tolist()
+        return lambda x, y: rows[x][y]
+    if structure.overridden is None:
+        raise OrthogonalityUnavailable("sampled carriers need an `overridden` hook for the overriding checks")
+    return structure.overridden
 
 
 def check_overriding_and_skew(structure: StructureHandle, config: CheckConfig = DEFAULT_CONFIG):
@@ -859,12 +829,21 @@ def check_overriding_and_skew(structure: StructureHandle, config: CheckConfig = 
     The projection law ⊑5 is decided exhaustively on finite carriers; on
     sampled carriers it is reported as informational (the unique candidate
     witness is the skew meet itself, so the search is a counterexample
-    search, never a pass/fail gate)."""
+    search, never a pass/fail gate). Without a skew hook, finite carriers
+    brute-force the skew meet as max{u : u overridden by x, u <= y}."""
     structure = _indexed(structure)
-    ctx = _SqContext(structure)
-    s = ctx.skew
-    sq = ctx.sq
-    j, le, eq = structure.join, structure.le, structure.eq
+    sq = _overriding(structure)
+    j, le, eq, elements = structure.join, structure.le, structure.eq, structure.elements
+
+    def brute_skew(x, y):
+        return _greatest([u for u in elements if sq(u, x) and le(u, y)], le)
+
+    if structure.skew is not None:
+        s = structure.skew
+    elif structure.finite:
+        s = brute_skew
+    else:
+        raise OrthogonalityUnavailable("no skew hook and the carrier is not finite")
 
     def sq1_refl(x):
         return sq(x, x)
@@ -890,7 +869,7 @@ def check_overriding_and_skew(structure: StructureHandle, config: CheckConfig = 
         if not sq(x, y):
             return True
         if structure.finite:
-            return any(sq(x, u) and sq(u, x) and le(u, y) for u in structure.elements)
+            return any(sq(x, u) and sq(u, x) and le(u, y) for u in elements)
         cand = s(x, y)
         return cand is not None and sq(x, cand) and sq(cand, x) and le(cand, y)
 
@@ -951,7 +930,7 @@ def check_overriding_and_skew(structure: StructureHandle, config: CheckConfig = 
     if structure.finite and structure.skew is not None:
         def hook_vs_brute(x, y):
             hooked = structure.skew(x, y)
-            brute = ctx.brute_skew(x, y)
+            brute = brute_skew(x, y)
             if hooked is None or brute is None:
                 return hooked is None and brute is None
             return eq(hooked, brute)
@@ -964,138 +943,87 @@ def check_overriding_and_skew(structure: StructureHandle, config: CheckConfig = 
 # orthomodular initial segments
 
 
-def _segment_of(structure, p):
-    if structure.segment is not None:
-        seg = list(structure.segment(p))
-    elif structure.finite:
-        seg = [x for x in structure.elements if structure.le(x, p)]
-    else:
-        raise InfiniteCarrier("segments need a finite carrier or a segment hook")
-    return _dedupe(seg, structure.eq)
-
-
-class _SegmentContext:
-    """One enumerated segment [0, p] with cached order/orthogonality tables.
-
-    Joins and meets are brute-forced within the family from the order
-    alone, independently of the structure's own join/meet hooks, so the
-    segment laws act as an oracle on them."""
-
-    def __init__(self, structure, p):
-        self.structure = structure
-        self.p = p
-        self.seg = _segment_of(structure, p)
-        n = len(self.seg)
-        self.le = np.zeros((n, n), dtype=bool)
-        self.perp = np.zeros((n, n), dtype=bool)
-        for i, x in enumerate(self.seg):
-            for j, y in enumerate(self.seg):
-                self.le[i, j] = structure.le(x, y)
-                self.perp[i, j] = structure.perp(x, y)
-        self.p_idx = self.find(p)
-        self.zero_idx = self.find(structure.zero)
-        self._complements = {}
-
-    def find(self, x):
-        for i, y in enumerate(self.seg):
-            if self.structure.eq(x, y):
-                return i
-        return None
-
-    def lub(self, i, j):
-        ups = self.le[i] & self.le[j]
-        for k in np.flatnonzero(ups):
-            if np.all(self.le[k][ups]):
-                return int(k)
-        return None
-
-    def glb(self, i, j):
-        lows = self.le[:, i] & self.le[:, j]
-        for k in np.flatnonzero(lows):
-            if np.all(self.le[:, k][lows]):
-                return int(k)
-        return None
-
-    def complements_of(self, i):
-        """All indices z with seg[i] perp z and seg[i] v z = p, up to order-
-        equivalence (the dedup happened when the segment was built)."""
-        found = []
-        for k in np.flatnonzero(self.perp[i]):
-            if self.lub(i, int(k)) == self.p_idx:
-                found.append(int(k))
-        return found
-
-    def complement(self, i):
-        """The complement used by the m-complement laws: the declared
-        constructor when it applies, else the unique search result; memoized
-        per instance, so the memo dies with the context."""
-        if i not in self._complements:
-            self._complements[i] = self._find_complement(i)
-        return self._complements[i]
-
-    def _find_complement(self, i):
-        if self.structure.complement_in is not None:
-            z = self.structure.complement_in(self.seg[i], self.p)
-            if z is not None:
-                k = self.find(z)
-                if k is not None:
-                    return k
-        found = self.complements_of(i)
-        return found[0] if len(found) == 1 else None
-
-
 _OML_LAWS = (
-    "oml-complement-exists-unique",
-    "oml-complement-involutive",
-    "oml-complement-antitone",
-    "oml-o-complement",
-    "oml-orthomodular",
+    ("oml-complement-exists-unique", 1),
+    ("oml-complement-involutive", 1),
+    ("oml-complement-antitone", 2),
+    ("oml-o-complement", 1),
+    ("oml-orthomodular", 2),
 )
 
 
-def _oml_law_holds_ctx(ctx: _SegmentContext, law: str, rest_idx):
-    if law == "oml-complement-exists-unique":
-        (i,) = rest_idx
-        return len(ctx.complements_of(i)) == 1
-    if law == "oml-complement-involutive":
-        (i,) = rest_idx
-        c = ctx.complement(i)
-        if c is None:
-            return False
-        return ctx.complement(c) == i
-    if law == "oml-complement-antitone":
-        i, j = rest_idx
-        if not ctx.le[i, j]:
-            return True
-        ci, cj = ctx.complement(i), ctx.complement(j)
-        return ci is not None and cj is not None and bool(ctx.le[cj, ci])
-    if law == "oml-o-complement":
-        (i,) = rest_idx
-        c = ctx.complement(i)
-        if c is None:
-            return False
-        return ctx.lub(i, c) == ctx.p_idx and ctx.glb(i, c) == ctx.zero_idx
-    if law == "oml-orthomodular":
-        i, j = rest_idx
-        if not ctx.le[i, j]:
-            return True
-        ci = ctx.complement(i)
-        if ci is None:
-            return False
-        m = ctx.glb(j, ci)
-        if m is None:
-            return False
-        return ctx.lub(i, m) == j
-    raise ValueError(f"unknown segment law {law!r}")
+def _segment_laws(structure, p):
+    """The segment [0, p] as an indexed finite carrier, the indices of its
+    members (the first of each `eq` class), and the _OML_LAWS as predicates
+    on those indices.
 
+    Joins and meets are brute-forced within the segment from the order
+    alone, independently of the structure's own join/meet hooks, so the
+    segment laws act as an oracle on them."""
+    if structure.segment is not None:
+        family = tuple(structure.segment(p))
+    elif structure.finite:
+        family = tuple(x for x in structure.elements if structure.le(x, p))
+    else:
+        raise InfiniteCarrier("segments need a finite carrier or a segment hook")
+    seg = _indexed(
+        StructureHandle(
+            name=structure.name, zero=structure.zero, eq=structure.eq, le=structure.le, join=None,
+            elements=family, perp=structure.perp, key=structure.key, describe=structure.describe,
+        )
+    )
+    le, perp, zero, top = seg.le, seg.perp, seg.zero, seg.find(p)
+    members = [i for i in seg.elements if seg.key(i) == i]
 
-def _oml_law_holds(structure, law, p, rest):
-    """Witness replay entry point: rebuild the segment and re-evaluate."""
-    ctx = _SegmentContext(structure, p)
-    idx = tuple(ctx.find(x) for x in rest)
-    if any(i is None for i in idx):
-        return False
-    return _oml_law_holds_ctx(ctx, law, idx)
+    def lub(i, j):
+        return _greatest([k for k in members if le(i, k) and le(j, k)], lambda u, c: le(c, u))
+
+    def glb(i, j):
+        return _greatest([k for k in members if le(k, i) and le(k, j)], le)
+
+    def complements_of(i):
+        return [k for k in members if perp(i, k) and lub(i, k) == top]
+
+    complements = {}
+
+    def complement(i):
+        # the declared constructor when it applies, else the unique search result
+        if i not in complements:
+            k = None
+            if structure.complement_in is not None:
+                z = structure.complement_in(seg.carrier[i], p)
+                k = None if z is None else seg.find(z)
+            if k is None:
+                found = complements_of(i)
+                k = found[0] if len(found) == 1 else None
+            complements[i] = k
+        return complements[i]
+
+    def exists_unique(i):
+        return len(complements_of(i)) == 1
+
+    def involutive(i):
+        c = complement(i)
+        return c is not None and complement(c) == i
+
+    def antitone(i, j):
+        if not le(i, j):
+            return True
+        ci, cj = complement(i), complement(j)
+        return ci is not None and cj is not None and le(cj, ci)
+
+    def o_complement(i):
+        c = complement(i)
+        return c is not None and lub(i, c) == top and glb(i, c) == zero
+
+    def orthomodular(i, j):
+        if not le(i, j):
+            return True
+        ci = complement(i)
+        m = None if ci is None else glb(j, ci)
+        return m is not None and lub(i, m) == j
+
+    return seg, members, (exists_unique, involutive, antitone, o_complement, orthomodular)
 
 
 def check_initial_segments_oml(structure: StructureHandle, tops: Sequence, config: CheckConfig = DEFAULT_CONFIG):
@@ -1110,28 +1038,27 @@ def check_initial_segments_oml(structure: StructureHandle, tops: Sequence, confi
     if isinstance(structure, _IndexedHandle):
         tops = [structure.encode(p, "the segment top") for p in tops]
     tops = list(tops)
-    counts = {law: [0, 0, []] for law in _OML_LAWS}
+    tallies = [[0, 0, []] for _ in _OML_LAWS]
     for p in tops:
-        ctx = _SegmentContext(structure, p)
-        n = len(ctx.seg)
-        singles = [(i,) for i in range(n)]
-        pairs = [(i, j) for i in range(n) for j in range(n)]
-        for law in _OML_LAWS:
-            tuples = pairs if law in ("oml-complement-antitone", "oml-orthomodular") else singles
-            checked, failed, wits = counts[law]
-            for rest in tuples:
-                checked += 1
-                if not _oml_law_holds_ctx(ctx, law, rest):
-                    failed += 1
-                    if len(wits) < config.max_witnesses:
-                        wits.append((p, *(ctx.seg[i] for i in rest)))
-            counts[law] = [checked, failed, wits]
+        seg, members, laws = _segment_laws(structure, p)
+        for (_, arity), holds, tally in zip(_OML_LAWS, laws, tallies):
+            for tup in itertools.product(members, repeat=arity):
+                tally[0] += 1
+                if not holds(*tup):
+                    tally[1] += 1
+                    if len(tally[2]) < config.max_witnesses:
+                        tally[2].append((p, *(seg.carrier[i] for i in tup)))
+
+    def replay(tup, law):
+        seg, _, laws = _segment_laws(structure, tup[0])
+        rest = [seg.find(x) for x in tup[1:]]
+        return None not in rest and laws[law](*rest)
+
     reports = []
-    for law in _OML_LAWS:
-        checked, failed, wits = counts[law]
+    for law, ((name, _), (checked, failed, wits)) in enumerate(zip(_OML_LAWS, tallies)):
         report = _finish(
-            structure, config, law, "segments", checked, failed, wits,
-            replay=lambda tup, _law=law: _oml_law_holds(structure, _law, tup[0], tup[1:]),
+            structure, config, name, "segments", checked, failed, wits,
+            replay=lambda tup, _law=law: replay(tup, _law),
         )
         report.stats["segments"] = len(tops)
         reports.append(report)

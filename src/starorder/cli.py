@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import models, observables as obs, poset as poset_mod, sampling
-from .axioms import SUITE_NAMES, CheckConfig, run_suite
+from .axioms import SUITE_NAMES, CheckConfig, format_report_table, run_suite
 from .errors import (
     Conflict,
     DimMismatch,
@@ -57,18 +57,6 @@ def _load_json(path):
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
 
 
-def _emit(doc, args):
-    if args.format == "json":
-        text = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
-    else:
-        text = _as_table(doc)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _as_table(doc) -> str:
     lines = []
 
@@ -81,6 +69,19 @@ def _as_table(doc) -> str:
 
     walk("", doc)
     return "\n".join(lines) + "\n"
+
+
+def _emit(doc, args, as_table=_as_table):
+    """Write the document, as JSON or as_table(doc), to --out or stdout."""
+    if args.format == "json":
+        text = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    else:
+        text = as_table(doc)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _tolerances(args) -> Tolerances:
@@ -251,12 +252,8 @@ def cmd_verify(args) -> int:
     if args.target == "matrix":
         rng = np.random.default_rng([seed, 0x746F7073])  # dedicated stream for segment tops
         tops = [sampling.random_spectrum_hermitian(rng, args.dim) for _ in range(args.oml_tops)]
-    entries = []
-    for suite in suites:
-        for report in run_suite(structure, suite, config, tops=tops if suite == "oml" else None):
-            entry = report.to_dict()
-            entry["suite"] = suite
-            entries.append(entry)
+    by_suite = {suite: run_suite(structure, suite, config, tops=tops if suite == "oml" else None) for suite in suites}
+    entries = [{**r.to_dict(), "suite": suite} for suite, reports in by_suite.items() for r in reports]
     summary = {"pass": 0, "fail": 0, "informational": 0, "skipped": 0}
     for e in entries:
         summary[e["verdict"]] += 1
@@ -270,28 +267,15 @@ def cmd_verify(args) -> int:
         "reports": entries,
         "summary": summary,
     }
-    if args.format == "table":
+
+    def as_table(_doc):
         lines = [f"model: {structure.name}   seed: {seed}   samples: {args.samples}"]
-        for suite in suites:
-            lines.append(f"--- {suite} ---")
-            suite_reports = [e for e in entries if e["suite"] == suite]
-            width = max(len(e["axiom"]) for e in suite_reports)
-            for e in suite_reports:
-                mark = {"pass": "ok", "fail": "FAIL", "informational": "info", "skipped": "skip"}[e["verdict"]]
-                note = f"  ({e['note']})" if e["note"] else ""
-                lines.append(
-                    f"{e['axiom']:<{width}}  {mark:<4}  {e['stats'].get('tuples', 0):>8} tuples,"
-                    f" {e['stats'].get('failures', 0)} failed{note}"
-                )
+        for suite, reports in by_suite.items():
+            lines += [f"--- {suite} ---", format_report_table(reports)]
         lines.append(f"summary: {summary}")
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-    else:
-        _emit(doc, args)
+        return "\n".join(lines) + "\n"
+
+    _emit(doc, args, as_table)
     return 0 if summary["fail"] == 0 else 1
 
 
@@ -350,7 +334,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # entries near the float limit overflow intermediate norms and
+        # products; the code decides such inputs on rescaled copies, so
+        # numpy's warnings about them are not the user's concern
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except _UNDEFINED as exc:
         print(f"undefined: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

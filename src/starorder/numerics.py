@@ -316,12 +316,27 @@ def op_equal(a: HermitianOperator, b: HermitianOperator, tol: Tolerances = DEFAU
     return _arrays_close(a.entries, b.entries, tol)
 
 
+def _product_negligible(a: HermitianOperator, b: HermitianOperator, form, tol: Tolerances) -> bool:
+    """Whether ||form(AB)||_F <= eq_abs_tol * max(1, ||A|| * ||B||) for a
+    linear form; the operand norms are taken only when needed."""
+    x, y = a.entries, b.entries
+    d = _fro(form(x @ y))
+    if d <= tol.eq_abs_tol:
+        return True
+    bound = _fro(x) * _fro(y)
+    if math.isfinite(d) and math.isfinite(bound):
+        return d <= tol.eq_abs_tol * max(1.0, bound)
+    # the product or a norm overflowed: decide on copies divided by their
+    # largest entry magnitudes s, t, where the 1 in max(1, ...) becomes 1/(s t)
+    s, t = float(np.max(np.abs(x))), float(np.max(np.abs(y)))
+    x, y = x / s, y / t
+    return _fro(form(x @ y)) <= tol.eq_abs_tol * max(1.0 / s / t, _fro(x) * _fro(y))
+
+
 def commutes(a: HermitianOperator, b: HermitianOperator, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Whether ||AB - BA||_F <= eq_abs_tol * max(1, ||A|| * ||B||)."""
     _same_dim(a, b)
-    ab = a.entries @ b.entries
-    d = _fro(ab - ab.conj().T)
-    return d <= tol.eq_abs_tol or d <= tol.eq_abs_tol * max(1.0, _fro(a.entries) * _fro(b.entries))
+    return _product_negligible(a, b, lambda m: m - m.conj().T, tol)
 
 
 def rank_sensitive(operators, tol: Tolerances = DEFAULT_TOL, factor: float = 10.0) -> bool:
@@ -329,7 +344,7 @@ def rank_sensitive(operators, tol: Tolerances = DEFAULT_TOL, factor: float = 10.
     the numerical rank of any of the operators. Such results should be
     flagged as tolerance-sensitive by reporting layers."""
     for a in operators:
-        w = np.abs(np.linalg.eigvalsh(a.entries))
+        w = np.abs(eigh(a)[0])
         top = float(w.max()) if w.size else 0.0
         base = int(np.count_nonzero(w > tol.rank_rel_tol * top))
         lo = int(np.count_nonzero(w > (tol.rank_rel_tol / factor) * top))

@@ -42,7 +42,7 @@ from .numerics import (
     Tolerances,
     _RANGE_CACHE_SIZE,
     _arrays_close,
-    _fro,
+    _product_negligible,
     _range_basis,
     _same_dim,
     eigh,
@@ -95,8 +95,7 @@ def logical_le(a: HermitianOperator, b: HermitianOperator, tol: Tolerances = DEF
 def orthogonal(a: HermitianOperator, b: HermitianOperator, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Whether the composition AB vanishes (a symmetric relation on self-adjoint pairs)."""
     _same_dim(a, b)
-    d = _fro(a.entries @ b.entries)
-    return d <= tol.eq_abs_tol or d <= tol.eq_abs_tol * max(1.0, a.norm() * b.norm())
+    return _product_negligible(a, b, lambda m: m, tol)
 
 
 def osum(a: HermitianOperator, b: HermitianOperator, tol: Tolerances = DEFAULT_TOL) -> HermitianOperator:

@@ -6,9 +6,8 @@ import pytest
 from starorder.axioms import (
     CheckConfig,
     StructureHandle,
-    _SegmentContext,
-    _SqContext,
     _indexed,
+    _overriding,
     check_absorption_and_distributivity,
     check_gen_orthoalgebra,
     check_initial_segments_oml,
@@ -203,19 +202,44 @@ def test_matrix_oml_segments_pass(rng):
 def test_segment_complement_is_computed_once_per_index():
     base = matrix_structure(dim=4)
     calls = collections.Counter()
+    members = []
+
+    def segment(p):
+        members[:] = base.segment(p)  # kept alive, so ids stay unique
+        return members
 
     def counting(x, p):
         calls[id(x)] += 1
         return base.complement_in(x, p)
 
     top = HermitianOperator.diagonal([1.0, 2.0, 3.0, 0.0])  # rank 3: 8 members
-    ctx = _SegmentContext(dataclasses.replace(base, complement_in=counting), top)
-    assert len(ctx.seg) == 8
-    for _ in range(3):
-        for i in range(len(ctx.seg)):
-            c = ctx.complement(i)
-            assert c is not None and ctx.complement(c) == i
-    assert len(calls) == len(ctx.seg) and max(calls.values()) == 1
+    counted = dataclasses.replace(base, segment=segment, complement_in=counting)
+    reports = by_axiom(check_initial_segments_oml(counted, [top], CFG))
+    assert len(members) == 8
+    # every member has a complement, and the complement of it is the member
+    for law in ("oml-complement-involutive", "oml-o-complement"):
+        assert reports[law].verdict == "pass" and reports[law].stats["tuples"] == 8
+    assert reports["oml-orthomodular"].stats["tuples"] == 64
+    assert set(calls) == {id(m) for m in members} and max(calls.values()) == 1
+
+
+@pytest.mark.parametrize("target", ["matrix", "o6"])
+def test_segment_hook_listing_members_twice_gives_the_same_reports(target, rng):
+    if target == "matrix":
+        plain = matrix_structure(dim=3)
+        members = plain.segment
+        tops = [random_spectrum_hermitian(rng, 3) for _ in range(3)]
+    else:
+        plain = o6().as_structure()  # no segment hook: [0, p] from its order
+        members = lambda p: [x for x in plain.elements if plain.le(x, p)]  # noqa: E731
+        tops = plain.elements
+    twice = dataclasses.replace(plain, segment=lambda p: [x for x in members(p) for _ in range(2)])
+    expected = check_initial_segments_oml(plain, tops, CFG)
+    got = check_initial_segments_oml(twice, tops, CFG)
+    assert [r.to_dict() for r in got] == [r.to_dict() for r in expected]
+    assert [r.witness_desc for r in got] == [r.witness_desc for r in expected]
+    if target == "o6":
+        assert not all(r.passed for r in got)  # the witnesses are compared too
 
 
 # ---------------------------------------------------------------------------
@@ -291,11 +315,18 @@ def test_finite_hooks_run_at_most_once_per_pair():
     wrapped = dataclasses.replace(
         plain, **{name: counted(name, h) for name, h in hooks.items() if callable(h)}
     )
-    reports = check_overriding_and_skew(wrapped, CFG)
     binary = ("eq", "le", "join", "perp", "meet", "skew", "subtract", "osum", "overridden", "complement_in")
+    reports = check_overriding_and_skew(wrapped, CFG)
     assert {"eq", "le", "join", "perp", "meet", "skew"} <= set(calls)
     assert all(calls[name] <= n * n for name in binary), calls
     assert [r.to_dict() for r in reports] == [r.to_dict() for r in check_overriding_and_skew(plain, CFG)]
+
+    calls.clear()
+    reports = check_initial_segments_oml(wrapped, wrapped.elements, CFG)
+    assert {"le", "perp"} <= set(calls)
+    assert all(calls[name] <= n * n for name in binary), calls
+    expected = check_initial_segments_oml(plain, plain.elements, CFG)
+    assert [r.to_dict() for r in reports] == [r.to_dict() for r in expected]
 
 
 def test_hook_result_outside_the_finite_carrier_is_an_error():
@@ -327,8 +358,7 @@ def test_finite_carrier_without_key_gives_the_same_reports():
 @pytest.mark.parametrize("poset", [o6, mo2, lambda: boolean_cube(3)], ids=["o6", "mo2", "boolean3"])
 def test_overriding_table_matches_its_definition(poset):
     p = poset()
-    s = _indexed(p.as_structure())
-    sq = _SqContext(s).sq
+    sq = _overriding(_indexed(p.as_structure()))
     for i, x in enumerate(p.elements):
         for k, y in enumerate(p.elements):
             assert sq(i, k) == p.overriding(x, y), (x, y)

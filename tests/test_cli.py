@@ -1,6 +1,7 @@
 import hashlib
 import json
 import pathlib
+import warnings
 
 import pytest
 
@@ -76,6 +77,22 @@ def test_compute_le_where_norms_overflow(capsys, tmp_path):
     code, out, _ = run(capsys, "compute", "le", a, b)
     assert code == 0
     assert json.loads(out)["result"] == {"value": False}
+
+
+def test_compute_perp_and_osum_where_products_overflow(capsys, tmp_path):
+    # an orthogonal pair whose product AB = O overflows to nan entry by entry
+    a = write(tmp_path, "big_a.json", {"dim": 2, "entries": [[1e200, 1e200], [1e200, 1e200]]})
+    b = write(tmp_path, "big_b.json", {"dim": 2, "entries": [[1e200, -1e200], [-1e200, 1e200]]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would fail the command
+        code, out, err = run(capsys, "compute", "perp", a, b)
+        assert code == 0 and err == ""
+        assert json.loads(out)["result"] == {"value": True}
+        code, out, err = run(capsys, "compute", "osum", a, b)
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["result"]["entries"] == [[2e200, 0.0], [0.0, 2e200]]
+    assert doc["verification"]["summands_precede_result"] == [True, True]
 
 
 def test_compute_join_takes_family_then_witness(capsys, tmp_path):
@@ -173,8 +190,9 @@ def test_verify_reports_are_byte_identical(tmp_path, capsys):
 
 
 # SHA-256 of the report bytes. The first three were recorded before the meet
-# and the skew meet moved to the eigenvalue-cluster formula, the last two
-# before internal results skipped the constructor checks. The two finite
+# and the skew meet moved to the eigenvalue-cluster formula, the next two
+# before internal results skipped the constructor checks, the last before the
+# segments [0, p] became indexed carriers. The two finite
 # models are exact; the matrix report also rests on the floating point of numpy's LAPACK, so a
 # mismatch on another build calls for reading the report, not a new digest.
 PINNED_REPORTS = [
@@ -192,6 +210,11 @@ PINNED_REPORTS = [
         ["matrix", "bck", "--dim", "4", "--samples", "40", "--seed", "7"],
         "00fc57ba376f118bb3f110ad3d8d9422982ed223aa7730cff49af49853c1eb87",
     ),
+    (
+        # segments of up to 64 members
+        ["matrix", "oml", "--dim", "6", "--oml-tops", "8", "--samples", "5", "--seed", "11"],
+        "472a0973b3ec4856c4a57868bc9e2bedf8789a439ddce22b0406804d43e690ac",
+    ),
 ]
 
 
@@ -205,11 +228,16 @@ def test_verify_report_matches_pinned_digest(tmp_path, argv, digest):
 # Exhaustive reports on the poset fixtures, with their exit codes. The report
 # embeds the target as given, so these run from the repository root with the
 # relative path. Digests recorded, with the method above, before the finite
-# carriers were indexed.
+# carriers were indexed (boolean4, o6, mo2) or before the segments became
+# indexed carriers (the rest).
 PINNED_FIXTURE_REPORTS = [
+    ("boolean2", 0, "1c87b3370a6281881eab9962b9945d4c79db23e75548f590e562c4ff0a9a505e"),
+    ("boolean3", 0, "bc46bdf149fff5940b6a2e63b80245d6e000d89235ea47a8d1d63ae2e9d8d013"),
     ("boolean4", 0, "b4b9ee71b0d641d73e65cffec50908a3cc6e9ccccdeefd2d30fc28b1cc9068fd"),
     ("o6", 1, "b3a25cfc4381688db7ec4b4e451899773d08ac34c8904ceb48a35f280da5867e"),
     ("mo2", 1, "e59098d55f2546aa4f1ce862df1930b7cac92892c82854d36fdb58d2b9fd10ed"),
+    ("bowtie", 1, "09dcd4b621f5aaaffcd303462119dfbb9957fde3a8f6747f456c584140b35c8e"),
+    ("v", 0, "6c9ce365ced1c7432500ba981df98402487f72fa43a10f77d532c7d913933eea"),
 ]
 
 
@@ -232,6 +260,14 @@ def test_verify_table_format(capsys):
     code, out, _ = run(capsys, "verify", "rv", "qom", "--format", "table")
     assert code == 0
     assert "⊥6" in out and "summary" in out
+
+
+def test_verify_table_lists_witnesses_of_failing_laws(capsys):
+    code, out, _ = run(capsys, "verify", str(FIXTURES / "o6.json"), "qom", "--format", "table")
+    assert code == 1
+    lines = out.splitlines()
+    law = next(i for i, line in enumerate(lines) if line.startswith("⊥6 "))
+    assert "FAIL" in lines[law] and lines[law + 1].strip().startswith("witness: ")
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from starorder.errors import DimMismatch, NotLess, NotOrthogonal, NotUpperBound
-from starorder.numerics import HermitianOperator, eigh, op_equal, proj_join, proj_meet, range_projector
+from starorder.numerics import HermitianOperator, commutes, eigh, op_equal, proj_join, proj_meet, range_projector
 from starorder.observables import (
     _try_join,
     bck_subtract,
@@ -451,6 +451,36 @@ def test_logical_le_is_homogeneous_where_norms_overflow(dim):
         _, (a, b) = bounded_family(rng, dim, 2)
         assert logical_le(a.scaled(1e200), b.scaled(1e200)) == logical_le(a, b)
         assert logical_le(b.scaled(1e200), a.scaled(1e200)) == logical_le(b, a)
+
+
+# an orthogonal rank-one pair whose products overflow entry by entry: each
+# entry of AB is inf - inf, so nan, although AB = O
+BIG_A = [[1e200, 1e200], [1e200, 1e200]]
+BIG_B = [[1e200, -1e200], [-1e200, 1e200]]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_orthogonal_and_commutes_where_products_overflow():
+    a, b = HermitianOperator(BIG_A), HermitianOperator(BIG_B)
+    assert orthogonal(a, b) and orthogonal(b, a)
+    assert commutes(a, a) and commutes(a, b)
+    assert not orthogonal(a, a)
+    assert not commutes(a, diag(1e200, -1e200))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("scale", [1e200, 1e300])
+@pytest.mark.parametrize("dim", [3, 4])
+def test_orthogonal_and_commutes_are_homogeneous_where_products_overflow(dim, scale):
+    rng = np.random.default_rng(5)
+    answers = set()
+    for _ in range(200):
+        _, (a, b) = bounded_family(rng, dim, 2)
+        perp, comm = orthogonal(a, b), commutes(a, b)
+        assert orthogonal(a.scaled(scale), b.scaled(scale)) == perp
+        assert commutes(a.scaled(scale), b.scaled(scale)) == comm
+        answers.add((perp, comm))
+    assert {p for p, _ in answers} == {c for _, c in answers} == {False, True}
 
 
 # Frobenius norms of such operands overflow to inf (see CHANGES.md); the
