@@ -81,7 +81,8 @@ class StructureHandle:
 
     ``join`` is the partial join: return the join or None when undefined.
     ``elements`` marks a finite carrier (exhaustive checks); otherwise
-    ``sample(rng, arity)`` must return a tuple of related elements.
+    ``sample(rng, arity, count)`` must return an iterable of ``count`` tuples
+    of ``arity`` related elements, drawn in order from ``rng``.
     ``complement_in(x, p)`` is the registered witness constructor for the
     existential complement clauses: given x below p it returns z with
     x perp z and x join z = p (or None when it cannot).
@@ -312,12 +313,11 @@ def _run_axiom(structure, config, axiom, arity, predicate, *, derived=False, inf
     if structure.finite:
         mode = "exhaustive"
         source = itertools.product(structure.elements, repeat=arity)
+    elif structure.sample is None:
+        raise InfiniteCarrier(f"structure {structure.name} has neither carrier nor sampler")
     else:
-        if structure.sample is None:
-            raise InfiniteCarrier(f"structure {structure.name} has neither carrier nor sampler")
         mode = "sampled"
-        rng = _stream_rng(config, axiom)
-        source = (tuple(structure.sample(rng, arity)) for _ in range(config.samples))
+        source = map(tuple, structure.sample(_stream_rng(config, axiom), arity, config.samples))
     count = 0
     failures = 0
     witnesses = []

@@ -261,10 +261,10 @@ def test_sampled_reports_are_deterministic():
         drawn = []
         inner = s.sample
 
-        def recording(rng, arity):
-            tup = inner(rng, arity)
-            drawn.append(tuple(s.describe(e) for e in tup))
-            return tup
+        def recording(rng, arity, count):
+            tuples = list(inner(rng, arity, count))
+            drawn.extend(tuple(s.describe(e) for e in tup) for tup in tuples)
+            return tuples
 
         s.sample = recording
         reports = [r.to_dict() for r in check_orthogonality(s, CheckConfig(seed=seed, samples=25))]

@@ -191,8 +191,10 @@ def test_verify_reports_are_byte_identical(tmp_path, capsys):
 
 # SHA-256 of the report bytes. The first three were recorded before the meet
 # and the skew meet moved to the eigenvalue-cluster formula, the next two
-# before internal results skipped the constructor checks, the last before the
-# segments [0, p] became indexed carriers. The two finite
+# before internal results skipped the constructor checks, the sixth before the
+# segments [0, p] became indexed carriers, the last two (the only ones above
+# dim 6, to guard batched LAPACK against looped LAPACK) before the sampler
+# drew its tuples first and batched their linear algebra. The two finite
 # models are exact; the matrix report also rests on the floating point of numpy's LAPACK, so a
 # mismatch on another build calls for reading the report, not a new digest.
 PINNED_REPORTS = [
@@ -214,6 +216,14 @@ PINNED_REPORTS = [
         # segments of up to 64 members
         ["matrix", "oml", "--dim", "6", "--oml-tops", "8", "--samples", "5", "--seed", "11"],
         "472a0973b3ec4856c4a57868bc9e2bedf8789a439ddce22b0406804d43e690ac",
+    ),
+    (
+        ["matrix", "bck", "--dim", "8", "--samples", "60", "--seed", "3"],
+        "6c8893c72860865d2421eecd128a6c9bae3720baef11243f66d0ec4a1fbab73b",
+    ),
+    (
+        ["matrix", "nearsemilattice", "skew", "goa", "--dim", "16", "--samples", "30", "--seed", "11"],
+        "cfa47e79f478e33dfaebc679d441afcf73c84a6e7f92c9613b2e82badc7c97a6",
     ),
 ]
 
