@@ -8,16 +8,18 @@ otherwise tuples are drawn from the structure's sampler under a per-axiom
 seeded stream, so repeated runs are bit-for-bit reproducible. Equality is
 always the structure's own hook; the harness never compares raw numbers.
 
-Each check indexes a finite carrier once on entry: its elements are
-recoded as the indices 0..n-1, and every hook is read through a row-lazy
-table whose row i is filled, on first use, by calling the real hook on
-(element i, y) for every y, with element results recoded as indices. So a
-hook runs at most n² times per check, however many tuples a law visits,
-and the law predicates are the same code on both kinds of carrier: table
-lookups on finite ones, the real hooks on sampled ones. Reports speak of
-the carrier's own elements again. Each initial segment [0, p] is indexed
-the same way, as a finite carrier of its own, so the segment laws are
-table lookups on either kind of carrier.
+A finite carrier is indexed before it is checked: its elements are recoded
+as the indices 0..n-1, and each hook gets one table, filled on first use by
+calling the real hook on pairs of elements, with element results recoded as
+indices. A handle that is already indexed keeps its tables, so `verify`
+indexes once and a hook runs at most n² times in all its suites. Each law
+is written twice: a predicate on one tuple of elements, and a kernel, the
+same law as one numpy expression over index grids that reads the tables as
+arrays. Finite carriers run the kernels; sampled ones run the predicates on
+the real hooks, and failure witnesses replay through the predicates on
+either. Reports speak of the carrier's own elements again. Each initial
+segment [0, p] is indexed the same way, as a finite carrier of its own, so
+the segment laws are table lookups on either kind of carrier.
 
 Every check returns :class:`AxiomReport` records. A ``fail`` verdict
 carries witnesses that re-falsify the law when replayed through the same
@@ -155,16 +157,82 @@ class AxiomReport:
 _PREDICATE_HOOKS = ("eq", "le", "perp", "overridden")
 _OPERATION_HOOKS = ("join", "meet", "skew", "subtract", "osum", "complement_in")
 
+# Index-grid elements per slab: kernels and table reductions take the first
+# coordinate a slab at a time, a bound on memory (half a megabyte per int64
+# temporary), not a tuning knob.
+_SLAB = 1 << 16
+
+
+class _Table:
+    """hook(carrier[i], carrier[k]) over indices, each result passed through
+    `cell`. `lookup(i, k)` fills row i on first use; `array()` fills the rest
+    and gives the table as an (n+1)×(n+1) numpy array whose row and column n
+    stand for "undefined": False, or the index n for a None result, so that
+    J[J[x, y], z] needs no mask."""
+
+    def __init__(self, hook, carrier, cell=None):
+        rows = self.rows = [None] * len(carrier)
+        self.operation = cell is not None
+        self._array = None
+
+        def lookup(i, k):
+            row = rows[i]
+            if row is None:
+                x = carrier[i]
+                row = [hook(x, y) for y in carrier]
+                row = rows[i] = row if cell is None else [cell(r) for r in row]
+            return row[k]
+
+        self.lookup = lookup
+
+    def array(self) -> np.ndarray:
+        if self._array is None:
+            n = len(self.rows)
+            for i in range(n):
+                self.lookup(i, 0)
+            if self.operation:
+                a = np.full((n + 1, n + 1), n, dtype=np.intp)
+                a[:n, :n] = [[n if r is None else r for r in row] for row in self.rows]
+            else:
+                a = np.zeros((n + 1, n + 1), dtype=bool)
+                a[:n, :n] = self.rows
+            self._array = a
+        return self._array
+
+
+class _Tables:
+    """The tables of one indexed carrier of n elements: ``T.join`` is the join
+    hook's table as a padded array (see `_Table`); ``T.derived(name, build)``
+    is a table computed from them by build(), once."""
+
+    def __init__(self, n, hooks):
+        self.n, self.hooks, self._derived = n, hooks, {}
+
+    def __getattr__(self, name):
+        # first access only: the array is then an attribute of its own
+        hooks = self.__dict__["hooks"]
+        if name not in hooks:
+            raise AttributeError(name)
+        array = self.__dict__[name] = hooks[name].array()
+        return array
+
+    def derived(self, name, build):
+        if name not in self._derived:
+            self._derived[name] = build()
+        return self._derived[name]
+
 
 @dataclass
 class _IndexedHandle(StructureHandle):
     """A finite carrier recoded over the indices of ``carrier``, the source
     structure's elements; ``find(x)`` gives the index of one or None, and
-    ``encode(x, what)`` the index or a ValueError."""
+    ``encode(x, what)`` the index or a ValueError. ``tables`` holds the hook
+    tables that the hooks read and the law kernels evaluate."""
 
     carrier: tuple = ()
     find: Optional[Callable] = None
     encode: Optional[Callable] = None
+    tables: Optional[_Tables] = None
 
 
 def _encoder(structure):
@@ -192,42 +260,30 @@ def _encoder(structure):
     return find, encode
 
 
-def _row_table(hook, elements, cell=None):
-    """hook(elements[i], elements[k]) as lookup(i, k); row i is filled by
-    the first lookup with left operand i, each result passed through cell."""
-    rows = [None] * len(elements)
-
-    def lookup(i, k):
-        row = rows[i]
-        if row is None:
-            x = elements[i]
-            row = [hook(x, y) for y in elements]
-            row = rows[i] = row if cell is None else [cell(r) for r in row]
-        return row[k]
-
-    return lookup
-
-
 def _indexed(structure: StructureHandle) -> StructureHandle:
     """The structure with a finite carrier recoded over indices 0..n-1 and
-    every hook read through a row-lazy table; sampled and already indexed
-    structures are returned as they are. Nothing is cached across calls."""
+    every hook read through its `_Table`; sampled and already indexed
+    structures are returned as they are. Each call indexes afresh; the tables
+    live as long as the handle, so `verify` indexes a finite carrier once and
+    all its suites share the tables."""
     if not structure.finite or isinstance(structure, _IndexedHandle):
         return structure
     elements = tuple(structure.elements)
     find, encode = _encoder(structure)
-    hooks = {}
+    tables, hooks = {}, {}
     for name in _PREDICATE_HOOKS + _OPERATION_HOOKS:
         hook = getattr(structure, name)
         if hook is None:
             hooks[name] = None
-        elif name in _PREDICATE_HOOKS:
-            hooks[name] = _row_table(hook, elements)
+            continue
+        if name in _PREDICATE_HOOKS:
+            tables[name] = _Table(hook, elements)
         else:
             what = f"the {name} hook's result"
-            hooks[name] = _row_table(
+            tables[name] = _Table(
                 hook, elements, lambda r, _what=what: None if r is None else encode(r, _what)
             )
+        hooks[name] = tables[name].lookup
     segment = structure.segment
     if segment is not None:
         hooks["segment"] = lambda p: [encode(x, "a segment member") for x in segment(elements[p])]
@@ -243,8 +299,49 @@ def _indexed(structure: StructureHandle) -> StructureHandle:
         carrier=elements,
         find=find,
         encode=encode,
+        tables=_Tables(len(elements), tables),
         **hooks,
     )
+
+
+def _tables(structure):
+    """The tables of an indexed carrier, or None on a sampled one, whose laws
+    run their predicates and never their kernels."""
+    return getattr(structure, "tables", None)
+
+
+def _pair_table(n, fill, pad):
+    """An (n+1)×(n+1) table padded with `pad`, whose rows xs of the n×n block
+    are fill(xs), filled a slab of rows at a time."""
+    out = np.full((n + 1, n + 1), pad)
+    step = max(1, _SLAB // (n * n))
+    for lo in range(0, n, step):
+        xs = np.arange(lo, min(n, lo + step))
+        out[xs, :n] = fill(xs)
+    return out
+
+
+def _greatest_index(cand, le):
+    """For each candidate set cand[..., u], the first candidate that every
+    candidate is below under the n×n order table le, or n: `_greatest` over
+    a table."""
+    below = cand.astype(np.float64) @ le.astype(np.float64)  # [..., c]: candidates u <= c
+    ok = cand & (below == cand.sum(axis=-1, keepdims=True))
+    return np.where(ok.any(axis=-1), ok.argmax(axis=-1), cand.shape[-1])
+
+
+def _kernel_slabs(T, arity, kernel):
+    """The kernel on every tuple of indices 0..n-1 of the tables T, as
+    boolean masks over slabs of the first coordinate: yields (first index of
+    the slab, mask of shape (slab, n, ..., n)), so the masks read in
+    itertools.product order."""
+    n = T.n
+    first, *rest = T.derived(("grids", arity), lambda: np.ix_(*[np.arange(n)] * arity))
+    step = max(1, _SLAB // n ** (arity - 1))
+    for lo in range(0, n, step):
+        ok = kernel(first[lo : lo + step], *rest)
+        shape = (min(step, n - lo),) + (n,) * (arity - 1)
+        yield lo, ok if ok.shape == shape else np.broadcast_to(ok, shape)
 
 
 def _replayable(structure, replay):
@@ -309,24 +406,31 @@ def _merged(structure, axiom, parts, replay):
     )
 
 
-def _run_axiom(structure, config, axiom, arity, predicate, *, derived=False, informational=False, note=""):
+def _run_axiom(structure, config, axiom, arity, predicate, kernel, *, derived=False, informational=False, note=""):
+    """One law over every tuple of a finite carrier or over sampled tuples.
+    `predicate(*tup)` decides one tuple of elements; `kernel(x, ...)` decides
+    the same law at once on numpy index grids of an indexed finite carrier,
+    reading its tables, the index n standing for "undefined". Finite carriers
+    run the kernel; the predicate runs on sampled tuples and in replay."""
+    failures, witnesses = 0, []
     if structure.finite:
-        mode = "exhaustive"
-        source = itertools.product(structure.elements, repeat=arity)
+        mode, count = "exhaustive", len(structure.elements) ** arity
+        for lo, ok in _kernel_slabs(structure.tables, arity, kernel):
+            bad = ok.size - int(np.count_nonzero(ok))
+            failures += bad
+            if bad and len(witnesses) < config.max_witnesses:
+                idx = np.unravel_index(np.flatnonzero(~ok)[: config.max_witnesses - len(witnesses)], ok.shape)
+                witnesses += [(lo + int(i), *map(int, rest)) for i, *rest in zip(*idx)]
     elif structure.sample is None:
         raise InfiniteCarrier(f"structure {structure.name} has neither carrier nor sampler")
     else:
-        mode = "sampled"
-        source = map(tuple, structure.sample(_stream_rng(config, axiom), arity, config.samples))
-    count = 0
-    failures = 0
-    witnesses = []
-    for tup in source:
-        count += 1
-        if not predicate(*tup):
-            failures += 1
-            if len(witnesses) < config.max_witnesses:
-                witnesses.append(tup)
+        mode, count = "sampled", 0
+        for tup in map(tuple, structure.sample(_stream_rng(config, axiom), arity, config.samples)):
+            count += 1
+            if not predicate(*tup):
+                failures += 1
+                if len(witnesses) < config.max_witnesses:
+                    witnesses.append(tup)
     return _finish(
         structure, config, axiom, mode, count, failures, witnesses,
         replay=lambda tup, _p=predicate: _p(*tup),
@@ -367,6 +471,19 @@ def _brute_meet_fn(structure):
     return lambda x, y: _greatest([u for u in elements if le(u, x) and le(u, y)], le)
 
 
+def _meet_table(structure):
+    """The meet hook's table, or the brute meet's, on an indexed carrier."""
+    T = structure.tables
+    if structure.meet is not None:
+        return T.meet
+
+    def build():
+        lt = T.le[: T.n, : T.n].T  # lt[x, u]: u <= x
+        return _pair_table(T.n, lambda xs: _greatest_index(lt[xs, None, :] & lt[None, :, :], lt.T), T.n)
+
+    return T.derived("brute meet", build)
+
+
 # ---------------------------------------------------------------------------
 # nearsemilattice and nearlattice laws
 
@@ -375,7 +492,7 @@ def check_nearsemilattice(structure: StructureHandle, config: CheckConfig = DEFA
     """The partial-join axioms: idempotence, commutativity, associativity with
     definedness transfer, and zero as a unit."""
     structure = _indexed(structure)
-    j, eq, zero = structure.join, structure.eq, structure.zero
+    j, eq, zero, T = structure.join, structure.eq, structure.zero, _tables(structure)
 
     def v1(x):
         r = j(x, x)
@@ -405,11 +522,26 @@ def check_nearsemilattice(structure: StructureHandle, config: CheckConfig = DEFA
         r = j(x, zero)
         return r is not None and eq(r, x)
 
+    def k1(x):
+        return T.eq[T.join[x, x], x]
+
+    def k2(x, y):
+        r = T.join[x, y]
+        return (r == T.n) | T.eq[r, T.join[y, x]]
+
+    def k3(x, y, z):
+        J = T.join
+        xy_z = J[J[x, y], z]
+        return (xy_z == T.n) | T.eq[xy_z, J[x, J[y, z]]]
+
+    def k4(x):
+        return T.eq[T.join[x, zero], x]
+
     return [
-        _run_axiom(structure, config, "∨1", 1, v1),
-        _run_axiom(structure, config, "∨2", 2, v2),
-        _run_axiom(structure, config, "∨3", 3, v3),
-        _run_axiom(structure, config, "∨4", 1, v4),
+        _run_axiom(structure, config, "∨1", 1, v1, k1),
+        _run_axiom(structure, config, "∨2", 2, v2, k2),
+        _run_axiom(structure, config, "∨3", 3, v3, k3),
+        _run_axiom(structure, config, "∨4", 1, v4, k4),
     ]
 
 
@@ -421,67 +553,73 @@ def _check_v5(structure, config, *, axiom="∨5", use_perp=False):
         return _unregistered(
             structure, axiom, "existence clause not decidable by sampling; no decomposition constructor registered"
         )
-    j, le, eq, perp, key = structure.join, structure.le, structure.eq, structure.perp, structure.key
+    j, le, eq, perp, T = structure.join, structure.le, structure.eq, structure.perp, structure.tables
     if use_perp and perp is None:
         raise OrthogonalityUnavailable("Riesz check needs an orthogonality hook")
     elements = structure.elements  # indices: the carrier is indexed
-    down = [[u for u in elements if le(u, y)] for y in elements]
-    count = failures = 0
-    witnesses = []
-
-    def decomposable(x, y, z):
-        # replay only; the sweep below collects the achievable joins per (y, z)
-        for a in down[y]:
-            for b in down[z]:
-                if use_perp and not perp(a, b):
-                    continue
-                r = j(a, b)
-                if r is not None and eq(r, x):
-                    return True
-        return False
 
     def law_holds(x, y, z):
+        # replay only; `_decomposition_sweep` decides every tuple from the tables
         if use_perp and not perp(y, z):
             return True
         top = j(y, z)
         if top is None or not le(x, top):
             return True
-        return decomposable(x, y, z)
+        return any(
+            (not use_perp or perp(a, b)) and (r := j(a, b)) is not None and eq(r, x)
+            for a in elements if le(a, y) for b in elements if le(b, z)
+        )
 
-    for y in elements:
-        for z in elements:
-            if use_perp and not perp(y, z):
-                continue
-            top = j(y, z)
-            if top is None:
-                continue
-            ach = set()
-            for a in down[y]:
-                for b in down[z]:
-                    if use_perp and not perp(a, b):
-                        continue
-                    r = j(a, b)
-                    if r is not None:
-                        ach.add(key(r))
-            for x in elements:
-                if not le(x, top):
-                    continue
-                count += 1
-                if key(x) not in ach:
-                    failures += 1
-                    if len(witnesses) < config.max_witnesses:
-                        witnesses.append((x, y, z))
+    # ∨5 runs in two suites: one sweep serves both
+    count, failures, witnesses = T.derived(
+        ("decomposition", use_perp, config.max_witnesses),
+        lambda: _decomposition_sweep(structure, use_perp, config.max_witnesses),
+    )
     return _finish(
         structure, config, axiom, "exhaustive", count, failures, witnesses,
         replay=lambda tup: law_holds(*tup),
     )
 
 
+def _decomposition_sweep(structure, use_perp, max_witnesses):
+    """(tuples, failures, first witnesses) of ∨5, or ⊕6 with use_perp, on an
+    indexed carrier. The tuples are (x, y, z) with y join z defined (and y
+    perp z for ⊕6) and x below it, taken in the order y, z, x. A tuple fails
+    when no a <= y, b <= z (a perp b for ⊕6) join to an element equal to x,
+    decided on keys."""
+    T = structure.tables
+    n, J, L = T.n, T.join, T.le[: T.n, : T.n]
+    key = np.array([structure.key(i) for i in structure.elements], dtype=np.intp)
+    joined = J[:n, :n] != n
+    if use_perp:
+        joined &= T.perp[:n, :n]
+    a, b = np.nonzero(joined)
+    reached, lf = key[J[a, b]], L.astype(np.float64)
+    count = failures = 0
+    witnesses = []
+    step = max(1, _SLAB // (n * n))
+    for lo in range(0, n, step):
+        ys = np.arange(lo, min(n, lo + step))
+        s = len(ys)
+        # near[y, b, k]: some a <= y has (a, b) joined to key k; then ach[y, k, z]: some b <= z too
+        cell = (np.arange(s)[:, None] * n + b) * n + reached
+        near = np.bincount(cell.ravel(), weights=L[a][:, ys].T.ravel(), minlength=s * n * n)
+        ach = near.reshape(s, n, n).transpose(0, 2, 1) @ lf > 0
+        counted = joined[ys][:, :, None] & T.le.T[J[ys, :n]][:, :, :n]  # [y, z, x]
+        fail = counted & ~ach[:, key, :].transpose(0, 2, 1)
+        count += int(np.count_nonzero(counted))
+        bad = np.flatnonzero(fail)
+        failures += bad.size
+        for y, z, x in zip(*np.unravel_index(bad[: max_witnesses - len(witnesses)], fail.shape)):
+            witnesses.append((int(x), lo + int(y), int(z)))
+    return count, failures, witnesses
+
+
 def check_absorption_and_distributivity(structure: StructureHandle, config: CheckConfig = DEFAULT_CONFIG):
     """Absorption laws tying meet to the partial join, plus distributivity."""
     structure = _indexed(structure)
     meet_fn = _brute_meet_fn(structure)
-    j, eq = structure.join, structure.eq
+    j, eq, T = structure.join, structure.eq, _tables(structure)
 
     def a1(x, y):
         r = j(x, y)
@@ -497,9 +635,16 @@ def check_absorption_and_distributivity(structure: StructureHandle, config: Chec
         r = j(m, y)
         return r is not None and eq(r, y)
 
+    def k1(x, y):
+        r = T.join[x, y]
+        return (r == T.n) | T.eq[_meet_table(structure)[x, r], x]
+
+    def k2(x, y):
+        return T.eq[T.join[_meet_table(structure)[x, y], y], y]
+
     return [
-        _run_axiom(structure, config, "∧1", 2, a1),
-        _run_axiom(structure, config, "∧2", 2, a2),
+        _run_axiom(structure, config, "∧1", 2, a1, k1),
+        _run_axiom(structure, config, "∧2", 2, a2, k2),
         _check_v5(structure, config),
     ]
 
@@ -518,7 +663,7 @@ def check_orthogonality(structure: StructureHandle, config: CheckConfig = DEFAUL
     """Symmetry, downward closure, zero-orthogonality, and additivity."""
     structure = _indexed(structure)
     perp = _require_perp(structure)
-    j, le, zero = structure.join, structure.le, structure.zero
+    j, le, zero, T = structure.join, structure.le, structure.zero, _tables(structure)
 
     def p1(x, y):
         return not perp(x, y) or perp(y, x)
@@ -537,11 +682,24 @@ def check_orthogonality(structure: StructureHandle, config: CheckConfig = DEFAUL
             return True
         return perp(x, r)
 
+    def k1(x, y):
+        return ~T.perp[x, y] | T.perp[y, x]
+
+    def k2(x, y, z):
+        return ~(T.le[x, y] & T.perp[y, z]) | T.perp[x, z]
+
+    def k3(x):
+        return T.perp[x, zero]
+
+    def k4(x, y, z):
+        P, r = T.perp, T.join[y, z]
+        return ~(P[x, y] & P[x, z]) | (r == T.n) | P[x, r]
+
     return [
-        _run_axiom(structure, config, "⊥1", 2, p1),
-        _run_axiom(structure, config, "⊥2", 3, p2),
-        _run_axiom(structure, config, "⊥3", 1, p3),
-        _run_axiom(structure, config, "⊥4", 3, p4),
+        _run_axiom(structure, config, "⊥1", 2, p1, k1),
+        _run_axiom(structure, config, "⊥2", 3, p2, k2),
+        _run_axiom(structure, config, "⊥3", 1, p3, k3),
+        _run_axiom(structure, config, "⊥4", 3, p4, k4),
     ]
 
 
@@ -570,6 +728,18 @@ def _complement_search(structure, x, y):
     return True, None
 
 
+def _has_complement(structure):
+    """Table of `_complement_search` on an indexed carrier: [x, y] is True
+    when some z has x perp z and x join z equal to y."""
+    T = structure.tables
+
+    def build():
+        n, E = T.n, T.eq
+        return _pair_table(n, lambda xs: (T.perp[xs, :n, None] & E[T.join[xs, :n]][:, :, :n]).any(axis=1), False)
+
+    return T.derived("complement", build)
+
+
 def check_quasi_orthomodular(structure: StructureHandle, config: CheckConfig = DEFAULT_CONFIG):
     """The quasi-orthomodularity laws and their derived consequences.
 
@@ -577,7 +747,7 @@ def check_quasi_orthomodular(structure: StructureHandle, config: CheckConfig = D
     or tolerance problem, and is flagged as such in the report note."""
     structure = _indexed(structure)
     perp = _require_perp(structure)
-    j, le, eq, zero = structure.join, structure.le, structure.eq, structure.zero
+    j, le, eq, zero, T = structure.join, structure.le, structure.eq, structure.zero, _tables(structure)
 
     def p5(x, y):
         return not perp(x, y) or j(x, y) is not None
@@ -616,17 +786,39 @@ def check_quasi_orthomodular(structure: StructureHandle, config: CheckConfig = D
         xy = j(x, y)
         return xy is not None and j(xy, z) is not None
 
+    def k5(x, y):
+        return ~T.perp[x, y] | (T.join[x, y] != T.n)
+
+    def k6(x, y):
+        return ~T.le[x, y] | _has_complement(structure)[x, y]
+
+    def k7(x, y, z):
+        # le's padding column makes the premise false where x join z is undefined
+        P, L = T.perp, T.le
+        return ~(P[x, y] & P[x, z]) | ~L[y, T.join[x, z]] | L[y, z]
+
+    def k8(x, y, z):
+        P, J = T.perp, T.join
+        return ~(P[x, y] & P[x, z]) | ~T.eq[J[x, y], J[x, z]] | T.eq[y, z]
+
+    def k9(x):
+        return ~T.perp[x, x] | T.eq[x, zero]
+
+    def k10(x, y, z):
+        P, J = T.perp, T.join
+        return ~(P[x, y] & P[y, z] & P[x, z]) | (J[J[x, y], z] != T.n)
+
     reports = [
-        _run_axiom(structure, config, "⊥5", 2, p5),
+        _run_axiom(structure, config, "⊥5", 2, p5, k5),
         (
             _unregistered(structure, "⊥6", "no sectional-complement constructor registered")
             if missing_constructor
-            else _run_axiom(structure, config, "⊥6", 2, p6)
+            else _run_axiom(structure, config, "⊥6", 2, p6, k6)
         ),
-        _run_axiom(structure, config, "⊥7", 3, p7),
-        _run_axiom(structure, config, "⊥8", 3, p8, derived=True),
-        _run_axiom(structure, config, "⊥9", 1, p9, derived=True),
-        _run_axiom(structure, config, "⊥10", 3, p10, derived=True),
+        _run_axiom(structure, config, "⊥7", 3, p7, k7),
+        _run_axiom(structure, config, "⊥8", 3, p8, k8, derived=True),
+        _run_axiom(structure, config, "⊥9", 1, p9, k9, derived=True),
+        _run_axiom(structure, config, "⊥10", 3, p10, k10, derived=True),
     ]
     defining_pass = all(r.passed for r in reports[:3])
     for r in reports[3:]:
@@ -650,6 +842,12 @@ def _oplus_fn(structure):
     return oplus
 
 
+def _oplus_table(structure):
+    """The table of `_oplus_fn` on an indexed carrier."""
+    T = structure.tables
+    return T.derived("oplus", lambda: np.where(T.perp, T.join, T.n))
+
+
 def check_gen_orthoalgebra(structure: StructureHandle, config: CheckConfig = DEFAULT_CONFIG):
     """The orthosum laws, with the sum derived from join and orthogonality,
     its natural-order law, and consistency with the native orthosum hook."""
@@ -657,6 +855,7 @@ def check_gen_orthoalgebra(structure: StructureHandle, config: CheckConfig = DEF
     _require_perp(structure)
     o = _oplus_fn(structure)
     j, le, eq, zero, perp = structure.join, structure.le, structure.eq, structure.zero, structure.perp
+    T = _tables(structure)
 
     def o1(x, y):
         r = o(x, y)
@@ -711,24 +910,58 @@ def check_gen_orthoalgebra(structure: StructureHandle, config: CheckConfig = DEF
             return native is None
         return not perp(x, y) or j(x, y) is not None
 
+    def k1(x, y):
+        O = _oplus_table(structure)
+        r = O[x, y]
+        return (r == T.n) | T.eq[r, O[y, x]]
+
+    def k2(x, y, z):
+        O = _oplus_table(structure)
+        xy_z = O[O[x, y], z]
+        return (xy_z == T.n) | T.eq[xy_z, O[x, O[y, z]]]
+
+    def k3(x):
+        return T.eq[_oplus_table(structure)[x, zero], x]
+
+    def k4(x, y, z):
+        O = _oplus_table(structure)
+        return ~T.eq[O[x, y], O[x, z]] | T.eq[y, z]
+
+    def k5(x):
+        return (_oplus_table(structure)[x, x] == T.n) | T.eq[x, zero]
+
+    def k_forward(x, y):
+        return ~T.le[x, y] | _has_complement(structure)[x, y]
+
+    def k_backward(x, z):
+        r = _oplus_table(structure)[x, z]
+        return (r == T.n) | T.le[x, r]
+
+    def k_vee(x, y):
+        r = T.join[x, y]
+        if structure.osum is not None:
+            native = T.osum[x, y]
+            return np.where(T.perp[x, y], T.eq[native, r], native == T.n)
+        return ~T.perp[x, y] | (r != T.n)
+
     reports = [
-        _run_axiom(structure, config, "⊕1", 2, o1),
-        _run_axiom(structure, config, "⊕2", 3, o2),
-        _run_axiom(structure, config, "⊕3", 1, o3),
-        _run_axiom(structure, config, "⊕4", 3, o4),
-        _run_axiom(structure, config, "⊕5", 1, o5),
+        _run_axiom(structure, config, "⊕1", 2, o1, k1),
+        _run_axiom(structure, config, "⊕2", 3, o2, k2),
+        _run_axiom(structure, config, "⊕3", 1, o3, k3),
+        _run_axiom(structure, config, "⊕4", 3, o4, k4),
+        _run_axiom(structure, config, "⊕5", 1, o5, k5),
     ]
     missing_constructor = not structure.finite and structure.complement_in is None
     fwd = (
         _unregistered(structure, "le/oplus", "no sectional-complement constructor registered")
         if missing_constructor
-        else _run_axiom(structure, config, "le/oplus", 2, le_oplus_forward)
+        else _run_axiom(structure, config, "le/oplus", 2, le_oplus_forward, k_forward)
     )
-    bwd = _run_axiom(structure, config, "le/oplus←", 2, le_oplus_backward)
+    bwd = _run_axiom(structure, config, "le/oplus←", 2, le_oplus_backward, k_backward)
     reports.append(
         _merged(structure, "le/oplus", [fwd, bwd], lambda tup: le_oplus_forward(*tup) and le_oplus_backward(*tup))
     )
-    reports.append(_run_axiom(structure, config, "oplus/vee", 2, oplus_vee))
+    reports.append(_run_axiom(structure, config, "oplus/vee", 2, oplus_vee, k_vee))
     return reports
 
 
@@ -763,6 +996,7 @@ def check_weak_bck(structure: StructureHandle, config: CheckConfig = DEFAULT_CON
     if structure.subtract is None:
         raise SubtractionUnavailable(f"structure {structure.name} has no subtraction hook")
     sub, le, eq, zero, j = structure.subtract, structure.le, structure.eq, structure.zero, structure.join
+    T = _tables(structure)
 
     def m1(x, y, z):
         return not le(x, y) or le(sub(z, y), sub(z, x))
@@ -773,10 +1007,21 @@ def check_weak_bck(structure: StructureHandle, config: CheckConfig = DEFAULT_CON
     def m3(x):
         return eq(sub(x, zero), x)
 
+    def k1(x, y, z):
+        D = T.subtract
+        return ~T.le[x, y] | T.le[D[z, y], D[z, x]]
+
+    def k2(x, y):
+        D = T.subtract
+        return T.le[D[x, D[x, y]], y]
+
+    def k3(x):
+        return T.eq[T.subtract[x, zero], x]
+
     reports = [
-        _run_axiom(structure, config, "−1", 3, m1),
-        _run_axiom(structure, config, "−2", 2, m2),
-        _run_axiom(structure, config, "−3", 1, m3),
+        _run_axiom(structure, config, "−1", 3, m1, k1),
+        _run_axiom(structure, config, "−2", 2, m2, k2),
+        _run_axiom(structure, config, "−3", 1, m3, k3),
     ]
     try:
         meet_fn = _brute_meet_fn(structure)
@@ -798,7 +1043,11 @@ def check_weak_bck(structure: StructureHandle, config: CheckConfig = DEFAULT_CON
         r = j(v, s)
         return r is not None and eq(r, x)
 
-    reports.append(_run_axiom(structure, config, "−/⊖", 2, m_sect))
+    def k_sect(x, y):
+        v, d = _meet_table(structure)[x, y], T.subtract[x, y]
+        return T.le[d, x] & T.perp[v, d] & T.eq[T.join[v, d], x]
+
+    reports.append(_run_axiom(structure, config, "−/⊖", 2, m_sect, k_sect))
     return reports
 
 
@@ -806,17 +1055,40 @@ def check_weak_bck(structure: StructureHandle, config: CheckConfig = DEFAULT_CON
 # overriding and skew meets
 
 
+def _overriding_table(structure):
+    """The overriding preorder of an indexed carrier as a padded table."""
+    T = structure.tables
+
+    def build():
+        n, p = T.n, T.perp[: T.n, : T.n]
+        out = np.zeros((n + 1, n + 1), dtype=bool)
+        # [x, y]: no z has z perp y without z perp x
+        out[:n, :n] = (~p).T.astype(np.int64) @ p.astype(np.int64) == 0
+        return out
+
+    return T.derived("overriding", build)
+
+
+def _brute_skew_table(structure):
+    """max{u : u overridden by x, u <= y} over an indexed carrier, or n."""
+    T = structure.tables
+
+    def build():
+        n, L = T.n, T.le[: T.n, : T.n]
+        qt, lt = _overriding_table(structure)[:n, :n].T, L.T  # qt[x, u]: u overridden by x
+        return _pair_table(n, lambda xs: _greatest_index(qt[xs, None, :] & lt[None, :, :], L), n)
+
+    return T.derived("brute skew", build)
+
+
 def _overriding(structure):
     """The overriding preorder. On indexed finite carriers it is derived from
     orthogonality by definition (x is overridden by y when every z perp y is
     also perp x) as a table over indices; sampled carriers must register an
     `overridden` hook."""
-    perp = _require_perp(structure)
+    _require_perp(structure)
     if structure.finite:
-        elements = structure.elements
-        p = np.array([[perp(x, y) for y in elements] for x in elements], dtype=bool)
-        # sq[x][y]: no z has z perp y without z perp x
-        rows = ((~p).T.astype(np.int64) @ p.astype(np.int64) == 0).tolist()
+        rows = _overriding_table(structure).tolist()
         return lambda x, y: rows[x][y]
     if structure.overridden is None:
         raise OrthogonalityUnavailable("sampled carriers need an `overridden` hook for the overriding checks")
@@ -833,7 +1105,7 @@ def check_overriding_and_skew(structure: StructureHandle, config: CheckConfig = 
     brute-force the skew meet as max{u : u overridden by x, u <= y}."""
     structure = _indexed(structure)
     sq = _overriding(structure)
-    j, le, eq, elements = structure.join, structure.le, structure.eq, structure.elements
+    j, le, eq, elements, T = structure.join, structure.le, structure.eq, structure.elements, _tables(structure)
 
     def brute_skew(x, y):
         return _greatest([u for u in elements if sq(u, x) and le(u, y)], le)
@@ -909,23 +1181,80 @@ def check_overriding_and_skew(structure: StructureHandle, config: CheckConfig = 
             return eq(a, structure.meet(x, y))
         return True
 
-    refl = _run_axiom(structure, config, "⊑1refl", 1, sq1_refl)
-    trans = _run_axiom(structure, config, "⊑1trans", 3, sq1_trans)
+    # kernels: Q is the overriding table, S the skew (the hook's or the brute one)
+    def Q():
+        return _overriding_table(structure)
+
+    def S():
+        return T.skew if structure.skew is not None else _brute_skew_table(structure)
+
+    def k1_refl(x):
+        return Q()[x, x]
+
+    def k1_trans(x, y, z):
+        q = Q()
+        return ~(q[x, y] & q[y, z]) | q[x, z]
+
+    def k2(x, y):
+        return ~T.le[x, y] | Q()[x, y]
+
+    def k3(x, y):
+        return ~Q()[x, y] | (T.join[x, y] == T.n) | T.le[x, y]
+
+    def k4(x, y, z):
+        q, r = Q(), T.join[x, y]
+        return ~(q[x, z] & q[y, z]) | (r == T.n) | q[r, z]
+
+    def k5(x, y):
+        def build():
+            n, q = T.n, Q()[: T.n, : T.n]
+            out = np.zeros((n + 1, n + 1), dtype=bool)
+            # [x, y]: some u with x, u overriding each other lies below y
+            out[:n, :n] = (q & q.T).astype(np.float64) @ T.le[:n, :n].astype(np.float64) > 0
+            return out
+
+        return ~Q()[x, y] | T.derived("⊑5 witness", build)[x, y]
+
+    def k_idem(x):
+        return T.eq[S()[x, x], x]
+
+    def k_assoc(x, y, z):
+        s = S()
+        return T.eq[s[s[x, y], z], s[x, s[y, z]]]
+
+    def k_rw1(x, y):
+        r = S()[x, y]
+        return T.le[r, y] & Q()[r, x]
+
+    def k_rw2(x, y):
+        r = S()[x, y]
+        return (r != T.n) & (T.le[x, y] == T.eq[r, x]) & (Q()[y, x] == T.eq[r, y])
+
+    def k_bounded(x, y):
+        s = S()
+        a = s[x, y]
+        holds = T.eq[a, s[y, x]]
+        if structure.meet is not None:
+            holds &= T.eq[a, T.meet[x, y]]
+        return (T.join[x, y] == T.n) | holds
+
+    refl = _run_axiom(structure, config, "⊑1refl", 1, sq1_refl, k1_refl)
+    trans = _run_axiom(structure, config, "⊑1trans", 3, sq1_trans, k1_trans)
     reports = [
         _merged(structure, "⊑1", [refl, trans], lambda tup: sq1_refl(*tup) if len(tup) == 1 else sq1_trans(*tup)),
-        _run_axiom(structure, config, "⊑2", 2, sq2),
-        _run_axiom(structure, config, "⊑3", 2, sq3),
-        _run_axiom(structure, config, "⊑4", 3, sq4),
+        _run_axiom(structure, config, "⊑2", 2, sq2, k2),
+        _run_axiom(structure, config, "⊑3", 2, sq3, k3),
+        _run_axiom(structure, config, "⊑4", 3, sq4, k4),
         _run_axiom(
-            structure, config, "⊑5", 2, sq5,
+            structure, config, "⊑5", 2, sq5, k5,
             informational=not structure.finite,
             note="" if structure.finite else "open for the operator model; counterexample search only",
         ),
-        _run_axiom(structure, config, "skew-idempotent", 1, skew_idem),
-        _run_axiom(structure, config, "skew-associative", 3, skew_assoc),
-        _run_axiom(structure, config, "rwedge1", 2, rw1),
-        _run_axiom(structure, config, "rwedge2", 2, rw2),
-        _run_axiom(structure, config, "skew-bounded-commutative", 2, bounded_comm),
+        _run_axiom(structure, config, "skew-idempotent", 1, skew_idem, k_idem),
+        _run_axiom(structure, config, "skew-associative", 3, skew_assoc, k_assoc),
+        _run_axiom(structure, config, "rwedge1", 2, rw1, k_rw1),
+        _run_axiom(structure, config, "rwedge2", 2, rw2, k_rw2),
+        _run_axiom(structure, config, "skew-bounded-commutative", 2, bounded_comm, k_bounded),
     ]
     if structure.finite and structure.skew is not None:
         def hook_vs_brute(x, y):
@@ -935,7 +1264,11 @@ def check_overriding_and_skew(structure: StructureHandle, config: CheckConfig = 
                 return hooked is None and brute is None
             return eq(hooked, brute)
 
-        reports.append(_run_axiom(structure, config, "skew-hook-vs-brute", 2, hook_vs_brute))
+        def k_vs_brute(x, y):
+            hooked, brute = T.skew[x, y], _brute_skew_table(structure)[x, y]
+            return ((hooked == T.n) & (brute == T.n)) | T.eq[hooked, brute]
+
+        reports.append(_run_axiom(structure, config, "skew-hook-vs-brute", 2, hook_vs_brute, k_vs_brute))
     return reports
 
 
@@ -1099,7 +1432,7 @@ def run_suite(structure: StructureHandle, suite: str, config: CheckConfig = DEFA
             if tops is None:
                 if not structure.finite:
                     raise InfiniteCarrier("segment tops must be supplied for sampled carriers")
-                tops = structure.elements
+                tops = structure.carrier if isinstance(structure, _IndexedHandle) else structure.elements
             return check_initial_segments_oml(structure, tops, config)
     except (InfiniteCarrier, OrthogonalityUnavailable, SubtractionUnavailable, MeetUnavailable) as exc:
         return [_skipped(suite, str(exc))]

@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import models, observables as obs, poset as poset_mod, sampling
-from .axioms import SUITE_NAMES, CheckConfig, format_report_table, run_suite
+from .axioms import SUITE_NAMES, CheckConfig, _indexed, format_report_table, run_suite
 from .errors import (
     Conflict,
     DimMismatch,
@@ -90,9 +90,19 @@ def _tolerances(args) -> Tolerances:
 
 def _seed(args) -> int:
     if args.seed is not None:
+        if args.seed < 0:
+            raise ParseError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.seed
     env = os.environ.get("LOL_SEED")
-    return int(env) if env else 0
+    if not env:
+        return 0
+    try:
+        seed = int(env)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise ParseError(f"LOL_SEED must be a non-negative integer, got {env!r}")
+    return seed
 
 
 def cmd_compute(args) -> int:
@@ -238,6 +248,8 @@ def _build_structure(target, args, tol):
 
 def cmd_verify(args) -> int:
     tol = _tolerances(args)
+    if args.dim < 1:
+        raise ParseError(f"--dim must be a positive count, got {args.dim}")
     if args.dim > tol.max_dim:
         raise ParseError(f"dim {args.dim} exceeds max_dim {tol.max_dim}")
     if args.samples < 1:
@@ -246,7 +258,8 @@ def cmd_verify(args) -> int:
         raise ParseError(f"--oml-tops must be a positive count, got {args.oml_tops}")
     seed = _seed(args)
     config = CheckConfig(seed=seed, samples=args.samples)
-    structure = _build_structure(args.target, args, tol)
+    # a finite carrier is indexed once, so its hook tables serve every suite
+    structure = _indexed(_build_structure(args.target, args, tol))
     suites = list(dict.fromkeys(SUITE_NAMES if "all" in args.suites else args.suites))
     tops = None
     if args.target == "matrix":

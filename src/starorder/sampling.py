@@ -109,11 +109,13 @@ class _Batch:
         n, b = self.dim, len(self.raw)
         self.starts.append(len(self.members))
         self.raw.append(_gaussian(rng, n))
-        self.spectra.append(w := rng.choice(pool, size=n))
+        # the draw of rng.choice(pool, size=n), without its per-call conversions
+        self.spectra.append(w := np.asarray(pool)[rng.integers(0, len(pool), size=n)])
         self.members += [(b, np.ones(n, dtype=bool))] if bound else []
         if disjoint:
             owner = rng.integers(0, size + 1, size=n)  # slot `size` means unused
             self.members += [(b, owner == k) for k in range(size)]
+        eigenspaces = [] if disjoint else [(lam, np.flatnonzero(w == lam)) for lam in np.unique(w)]
         for _ in range(0 if disjoint else size):
             # P: half the time a subset of the eigenbasis, else rotated in the eigenspaces
             if rng.random() < 0.5:
@@ -121,8 +123,7 @@ class _Batch:
                 continue
             blocks = self.rotated[len(self.members)] = []
             self.members.append((b, np.zeros(n, dtype=bool)))
-            for lam in np.unique(w):
-                idx = np.flatnonzero(w == lam)
+            for lam, idx in eigenspaces:
                 r = int(rng.integers(0, len(idx) + 1))
                 if r and lam != 0.0:
                     z = self.blocks.setdefault(len(idx), [])

@@ -1,8 +1,12 @@
 import collections
 import dataclasses
+import itertools
+import pathlib
 
+import numpy as np
 import pytest
 
+from starorder import axioms
 from starorder.axioms import (
     CheckConfig,
     StructureHandle,
@@ -21,11 +25,13 @@ from starorder.axioms import (
     run_suite,
 )
 from starorder.errors import InfiniteCarrier, OrthogonalityUnavailable, SubtractionUnavailable
-from starorder.models import pf_intersect, pf_structure, rv_structure
+from starorder.models import pf_intersect, pf_structure, rv_join, rv_structure
 from starorder.numerics import HermitianOperator
 from starorder.poset import (
+    FinitePoset,
     bad_orthogonality_fixture,
     boolean_cube,
+    load_poset,
     mo2,
     o6,
     pentagon_broken_join,
@@ -102,16 +108,17 @@ def test_bad_orthogonality_fixture():
     assert by_axiom(check_gen_orthoalgebra(s, CFG))["⊕5"].verdict == "fail"
 
 
-def test_broken_subtraction_fails_second_law():
+def broken_subtraction():
     # x - y := x on a two-chain: x - (x - y) = x, which is not below y
-    from starorder.poset import FinitePoset
-
     two = FinitePoset(["0", "1"], [("0", "1")], "0").as_structure()
-    broken = StructureHandle(
+    return StructureHandle(
         **{**two.__dict__, "name": "two-chain-bad-subtract", "subtract": lambda x, y: x,
            "perp": lambda x, y: "0" in (x, y)}
     )
-    reports = by_axiom(check_weak_bck(broken, CFG))
+
+
+def test_broken_subtraction_fails_second_law():
+    reports = by_axiom(check_weak_bck(broken_subtraction(), CFG))
     assert reports["−2"].verdict == "fail"
     assert reports["−2"].witnesses
     assert reports["−3"].verdict == "pass"  # x - 0 = x still holds
@@ -327,6 +334,137 @@ def test_finite_hooks_run_at_most_once_per_pair():
     assert all(calls[name] <= n * n for name in binary), calls
     expected = check_initial_segments_oml(plain, plain.elements, CFG)
     assert [r.to_dict() for r in reports] == [r.to_dict() for r in expected]
+
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+KERNEL_SUITES = ("nearsemilattice", "ortho", "qom", "goa", "riesz", "bck", "skew")
+KERNEL_CARRIERS = {
+    "rv2": lambda: rv_structure(omega_size=2),
+    "rv3": rv_structure,
+    "pf": pf_structure,
+    **{f.stem: (lambda f=f: load_poset(f).as_structure()) for f in sorted(FIXTURES.glob("*.json"))},
+    "pentagon-broken-join": pentagon_broken_join,
+    "bad-orthogonality": bad_orthogonality_fixture,
+    "broken-subtraction": broken_subtraction,
+    "pf-intersect-as-skew": lambda: StructureHandle(**{**pf_structure().__dict__, "skew": pf_intersect}),
+    # the brute meet (with undefined meets on the bowtie) and skew tables, and oplus/vee without osum
+    "bowtie-brute-meet": lambda: dataclasses.replace(load_poset(FIXTURES / "bowtie.json").as_structure(), meet=None),
+    "o6-brute-meet-and-skew": lambda: dataclasses.replace(o6().as_structure(), meet=None, skew=None),
+    "rv2-without-osum": lambda: dataclasses.replace(rv_structure(omega_size=2), osum=None),
+    "rv2-join-as-osum": lambda: dataclasses.replace(rv_structure(omega_size=2), osum=rv_join),  # defined off ⊥
+}
+
+
+def decomposition_reference(structure, use_perp):
+    """The ∨5 / ⊕6 sweep as plain loops over an indexed carrier's hooks:
+    (tuples, failures, witnesses) in the order y, z, x."""
+    j, le, perp, key, elements = structure.join, structure.le, structure.perp, structure.key, structure.elements
+    count = failures = 0
+    witnesses = []
+    for y, z in itertools.product(elements, repeat=2):
+        top = j(y, z)
+        if (use_perp and not perp(y, z)) or top is None:
+            continue
+        reached = {key(r) for a in elements if le(a, y) for b in elements if le(b, z)
+                   if (not use_perp or perp(a, b)) and (r := j(a, b)) is not None}
+        for x in elements:
+            if le(x, top):
+                count += 1
+                if key(x) not in reached:
+                    failures += 1
+                    witnesses += [(x, y, z)][: CFG.max_witnesses - len(witnesses)]
+    return count, failures, witnesses
+
+
+def kernel_mismatches(structure, monkeypatch):
+    """Runs the suites on an indexed carrier and holds every law's kernel to
+    its predicate, tuple by tuple, and every report to the predicate's count,
+    failures and first witnesses; returns the disagreements."""
+    laws, decompositions = [], []
+    run_axiom, check_v5 = axioms._run_axiom, axioms._check_v5
+
+    def recording_run(s, config, axiom, arity, predicate, kernel, **kw):
+        report = run_axiom(s, config, axiom, arity, predicate, kernel, **kw)
+        laws.append((axiom, arity, predicate, kernel, report))
+        return report
+
+    def recording_v5(s, config, *, axiom="∨5", use_perp=False):
+        report = check_v5(s, config, axiom=axiom, use_perp=use_perp)
+        decompositions.append((axiom, use_perp, report))
+        return report
+
+    monkeypatch.setattr(axioms, "_run_axiom", recording_run)
+    monkeypatch.setattr(axioms, "_check_v5", recording_v5)
+    for suite in KERNEL_SUITES:
+        run_suite(structure, suite, CFG)
+    monkeypatch.undo()
+
+    n, carrier = len(structure.elements), structure.carrier
+    found = []
+    for axiom, arity, predicate, kernel, report in laws:
+        tuples = list(itertools.product(range(n), repeat=arity))
+        expected = np.array([bool(predicate(*t)) for t in tuples])
+        got = np.concatenate([ok.ravel() for _, ok in axioms._kernel_slabs(structure.tables, arity, kernel)])
+        found += [(axiom, tuples[i]) for i in np.flatnonzero(got != expected)]
+        failing = [tuples[i] for i in np.flatnonzero(~expected)]
+        wits = collections.Counter(tuple(carrier[i] for i in t) for t in failing[: CFG.max_witnesses])
+        if (report.stats["tuples"], report.stats["failures"]) != (len(tuples), len(failing)) or \
+                collections.Counter(report.witnesses) != wits:
+            found.append((axiom, "report"))
+    for axiom, use_perp, report in decompositions:
+        count, failures, witnesses = decomposition_reference(structure, use_perp)
+        wits = collections.Counter(tuple(carrier[i] for i in t) for t in witnesses)
+        if (report.stats["tuples"], report.stats["failures"]) != (count, failures) or \
+                collections.Counter(report.witnesses) != wits:
+            found.append((axiom, "report"))
+    assert len(laws) >= 20 or structure.perp is None
+    return found
+
+
+@pytest.mark.parametrize("carrier", sorted(KERNEL_CARRIERS))
+def test_law_kernels_agree_with_their_predicates(carrier, monkeypatch):
+    structure = _indexed(KERNEL_CARRIERS[carrier]())
+    assert kernel_mismatches(structure, monkeypatch) == []
+
+
+@pytest.mark.parametrize("hook, entry", [("join", (1, 0)), ("perp", (1, 2)), ("eq", (3, 3))])
+def test_a_flipped_table_entry_is_caught(hook, entry, monkeypatch):
+    structure = _indexed(rv_structure(omega_size=2))
+    table = getattr(structure.tables, hook)  # filled; the hooks still read their rows
+    table[entry] = (table[entry] + 1) % len(structure.elements) if hook == "join" else not table[entry]
+    assert kernel_mismatches(structure, monkeypatch)
+
+
+@pytest.mark.parametrize("carrier", ["rv3", "o6-brute-meet-and-skew", "pf-intersect-as-skew"])
+def test_reports_do_not_depend_on_the_slab_size(carrier, monkeypatch):
+    def reports():
+        structure = _indexed(KERNEL_CARRIERS[carrier]())
+        return [(r.to_dict(), r.witnesses) for suite in KERNEL_SUITES for r in run_suite(structure, suite, CFG)]
+
+    expected = reports()
+    monkeypatch.setattr(axioms, "_SLAB", 1)  # one first coordinate per slab
+    assert reports() == expected
+
+
+def test_kernels_on_81_elements_stay_within_their_slabs():
+    import tracemalloc
+
+    # brute meet and skew tables too; an n**4 temporary would take 43 MB
+    structure = _indexed(dataclasses.replace(rv_structure(omega_size=4), meet=None, skew=None))
+    tracemalloc.start()
+    try:
+        for suite in ("nearsemilattice", "riesz", "skew"):
+            assert all(r.passed for r in run_suite(structure, suite, CFG))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+def test_oml_tops_default_to_the_carrier_of_an_indexed_handle():
+    plain = o6().as_structure()
+    expected = [r.to_dict() for r in run_suite(plain, "oml", CFG)]
+    assert [r.to_dict() for r in run_suite(_indexed(plain), "oml", CFG)] == expected
 
 
 def test_hook_result_outside_the_finite_carrier_is_an_error():
