@@ -75,8 +75,8 @@ class Tolerances:
     max_dim: int = 64
 
     def __post_init__(self):
-        if self.rank_rel_tol < 0 or self.eq_abs_tol < 0:
-            raise ValueError("tolerances must be nonnegative")
+        if not all(0 <= t < math.inf for t in (self.rank_rel_tol, self.eq_abs_tol)):
+            raise ValueError("tolerances must be finite and nonnegative")
         if self.max_dim < 1:
             raise ValueError("max_dim must be a positive integer")
 

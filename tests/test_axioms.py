@@ -1,6 +1,8 @@
 import collections
 import dataclasses
+import hashlib
 import itertools
+import json
 import pathlib
 
 import numpy as np
@@ -11,7 +13,7 @@ from starorder.axioms import (
     CheckConfig,
     StructureHandle,
     _indexed,
-    _overriding,
+    _overriding_table,
     check_absorption_and_distributivity,
     check_gen_orthoalgebra,
     check_initial_segments_oml,
@@ -376,16 +378,262 @@ def decomposition_reference(structure, use_perp):
     return count, failures, witnesses
 
 
+def reference_predicates(structure):
+    """Every law as a Python predicate on one tuple of the structure's own
+    elements (indices, on an indexed carrier), calling its hooks one at a
+    time: the reference that the harness's kernels are held to. On a finite
+    carrier the brute meet and skew, the overriding preorder and the
+    complement search are computed here from the hooks, not read from the
+    harness's tables."""
+    j, le, eq, perp, zero = structure.join, structure.le, structure.eq, structure.perp, structure.zero
+    sub, elements, finite = structure.subtract, structure.elements, structure.finite
+
+    def greatest(candidates, le):
+        return next((c for c in candidates if all(le(u, c) for u in candidates)), None)
+
+    meet = structure.meet or (lambda x, y: greatest([u for u in elements if le(u, x) and le(u, y)], le))
+    if finite and perp is not None:
+        # x is overridden by y when every z perp y is also perp x
+        overridden = {(x, y): all(perp(z, x) for z in elements if perp(z, y)) for x in elements for y in elements}
+        sq = lambda x, y: overridden[x, y]  # noqa: E731
+    else:
+        sq = structure.overridden
+
+    def brute_skew(x, y):
+        return greatest([u for u in elements if sq(u, x) and le(u, y)], le)
+
+    s = structure.skew or brute_skew
+
+    def o(x, y):
+        return j(x, y) if perp(x, y) else None
+
+    def has_complement(x, y):
+        # some z with x perp z and x join z = y: searched, or the registered constructor's
+        def sums_to_y(z):
+            return z is not None and perp(x, z) and (r := j(x, z)) is not None and eq(r, y)
+
+        return any(map(sums_to_y, elements)) if finite else sums_to_y(structure.complement_in(x, y))
+
+    def v1(x):
+        r = j(x, x)
+        return r is not None and eq(r, x)
+
+    def v2(x, y):
+        r = j(x, y)
+        if r is None:
+            return True
+        s = j(y, x)
+        return s is not None and eq(r, s)
+
+    def v3(x, y, z):
+        xy = j(x, y)
+        if xy is None:
+            return True
+        xy_z = j(xy, z)
+        if xy_z is None:
+            return True
+        yz = j(y, z)
+        if yz is None:
+            return False
+        x_yz = j(x, yz)
+        return x_yz is not None and eq(xy_z, x_yz)
+
+    def v4(x):
+        r = j(x, zero)
+        return r is not None and eq(r, x)
+
+    def a1(x, y):
+        r = j(x, y)
+        if r is None:
+            return True
+        m = meet(x, r)
+        return m is not None and eq(m, x)
+
+    def a2(x, y):
+        m = meet(x, y)
+        if m is None:
+            return False
+        r = j(m, y)
+        return r is not None and eq(r, y)
+
+    def p4(x, y, z):
+        if not (perp(x, y) and perp(x, z)):
+            return True
+        r = j(y, z)
+        return r is None or perp(x, r)
+
+    def p6(x, y):
+        return not le(x, y) or has_complement(x, y)
+
+    def p7(x, y, z):
+        # vacuous when x join z is undefined: the premise y <= x v z cannot hold
+        if not (perp(x, y) and perp(x, z)):
+            return True
+        xz = j(x, z)
+        return xz is None or not le(y, xz) or le(y, z)
+
+    def p8(x, y, z):
+        if not (perp(x, y) and perp(x, z)):
+            return True
+        xy, xz = j(x, y), j(x, z)
+        if xy is None or xz is None:
+            return True
+        return not eq(xy, xz) or eq(y, z)
+
+    def p10(x, y, z):
+        if not (perp(x, y) and perp(y, z) and perp(x, z)):
+            return True
+        xy = j(x, y)
+        return xy is not None and j(xy, z) is not None
+
+    def o1(x, y):
+        r = o(x, y)
+        if r is None:
+            return True
+        s = o(y, x)
+        return s is not None and eq(r, s)
+
+    def o2(x, y, z):
+        xy = o(x, y)
+        if xy is None:
+            return True
+        xy_z = o(xy, z)
+        if xy_z is None:
+            return True
+        yz = o(y, z)
+        if yz is None:
+            return False
+        x_yz = o(x, yz)
+        return x_yz is not None and eq(xy_z, x_yz)
+
+    def o3(x):
+        r = o(x, zero)
+        return r is not None and eq(r, x)
+
+    def o4(x, y, z):
+        xy, xz = o(x, y), o(x, z)
+        if xy is None or xz is None:
+            return True
+        return not eq(xy, xz) or eq(y, z)
+
+    def le_oplus_backward(x, z):
+        r = o(x, z)
+        return r is None or le(x, r)
+
+    def oplus_vee(x, y):
+        if structure.osum is not None:
+            native = structure.osum(x, y)
+            if perp(x, y):
+                r = j(x, y)
+                return native is not None and r is not None and eq(native, r)
+            return native is None
+        return not perp(x, y) or j(x, y) is not None
+
+    def m_sect(x, y):
+        v = meet(x, y)
+        if v is None:
+            return False
+        d = sub(x, y)
+        if not (le(d, x) and perp(v, d)):
+            return False
+        r = j(v, d)
+        return r is not None and eq(r, x)
+
+    def sq4(x, y, z):
+        if not (sq(x, z) and sq(y, z)):
+            return True
+        r = j(x, y)
+        return r is None or sq(r, z)
+
+    def sq5(x, y):
+        if not sq(x, y):
+            return True
+        if finite:
+            return any(sq(x, u) and sq(u, x) and le(u, y) for u in elements)
+        u = s(x, y)
+        return u is not None and sq(x, u) and sq(u, x) and le(u, y)
+
+    def skew_idem(x):
+        r = s(x, x)
+        return r is not None and eq(r, x)
+
+    def skew_assoc(x, y, z):
+        a = s(x, y)
+        if a is None:
+            return False
+        a = s(a, z)
+        b = s(y, z)
+        if b is None:
+            return False
+        b = s(x, b)
+        return a is not None and b is not None and eq(a, b)
+
+    def rw1(x, y):
+        r = s(x, y)
+        return r is not None and le(r, y) and sq(r, x)
+
+    def rw2(x, y):
+        r = s(x, y)
+        if r is None:
+            return False
+        return (le(x, y) == eq(r, x)) and (sq(y, x) == eq(r, y))
+
+    def bounded_comm(x, y):
+        # on bounded pairs both skews agree and coincide with the meet
+        if j(x, y) is None:
+            return True
+        a, b = s(x, y), s(y, x)
+        if a is None or b is None or not eq(a, b):
+            return False
+        return structure.meet is None or eq(a, structure.meet(x, y))
+
+    def hook_vs_brute(x, y):
+        hooked, brute = structure.skew(x, y), brute_skew(x, y)
+        if hooked is None or brute is None:
+            return hooked is None and brute is None
+        return eq(hooked, brute)
+
+    return {
+        "∨1": v1, "∨2": v2, "∨3": v3, "∨4": v4, "∧1": a1, "∧2": a2,
+        "⊥1": lambda x, y: not perp(x, y) or perp(y, x),
+        "⊥2": lambda x, y, z: not (le(x, y) and perp(y, z)) or perp(x, z),
+        "⊥3": lambda x: perp(x, zero),
+        "⊥4": p4,
+        "⊥5": lambda x, y: not perp(x, y) or j(x, y) is not None,
+        "⊥6": p6, "⊥7": p7, "⊥8": p8,
+        "⊥9": lambda x: not perp(x, x) or eq(x, zero),
+        "⊥10": p10,
+        "⊕1": o1, "⊕2": o2, "⊕3": o3, "⊕4": o4,
+        "⊕5": lambda x: o(x, x) is None or eq(x, zero),
+        "le/oplus": p6,  # x below y must be certified by a sum decomposition
+        "le/oplus←": le_oplus_backward,
+        "oplus/vee": oplus_vee,
+        "−1": lambda x, y, z: not le(x, y) or le(sub(z, y), sub(z, x)),
+        "−2": lambda x, y: le(sub(x, sub(x, y)), y),
+        "−3": lambda x: eq(sub(x, zero), x),
+        "−/⊖": m_sect,
+        "⊑1refl": lambda x: sq(x, x),
+        "⊑1trans": lambda x, y, z: not (sq(x, y) and sq(y, z)) or sq(x, z),
+        "⊑2": lambda x, y: not le(x, y) or sq(x, y),
+        "⊑3": lambda x, y: not sq(x, y) or j(x, y) is None or le(x, y),
+        "⊑4": sq4, "⊑5": sq5,
+        "skew-idempotent": skew_idem, "skew-associative": skew_assoc,
+        "rwedge1": rw1, "rwedge2": rw2, "skew-bounded-commutative": bounded_comm,
+        "skew-hook-vs-brute": hook_vs_brute,
+    }
+
+
 def kernel_mismatches(structure, monkeypatch):
     """Runs the suites on an indexed carrier and holds every law's kernel to
-    its predicate, tuple by tuple, and every report to the predicate's count,
-    failures and first witnesses; returns the disagreements."""
+    its reference predicate, tuple by tuple, and every report to the
+    reference's count, failures and first witnesses; returns the
+    disagreements."""
     laws, decompositions = [], []
     run_axiom, check_v5 = axioms._run_axiom, axioms._check_v5
 
-    def recording_run(s, config, axiom, arity, predicate, kernel, **kw):
-        report = run_axiom(s, config, axiom, arity, predicate, kernel, **kw)
-        laws.append((axiom, arity, predicate, kernel, report))
+    def recording_run(s, config, axiom, arity, kernel, **kw):
+        report = run_axiom(s, config, axiom, arity, kernel, **kw)
+        laws.append((axiom, arity, kernel, report))
         return report
 
     def recording_v5(s, config, *, axiom="∨5", use_perp=False):
@@ -399,11 +647,11 @@ def kernel_mismatches(structure, monkeypatch):
         run_suite(structure, suite, CFG)
     monkeypatch.undo()
 
-    n, carrier = len(structure.elements), structure.carrier
+    n, carrier, reference = len(structure.elements), structure.carrier, reference_predicates(structure)
     found = []
-    for axiom, arity, predicate, kernel, report in laws:
+    for axiom, arity, kernel, report in laws:
         tuples = list(itertools.product(range(n), repeat=arity))
-        expected = np.array([bool(predicate(*t)) for t in tuples])
+        expected = np.array([bool(reference[axiom](*t)) for t in tuples])
         got = np.concatenate([ok.ravel() for _, ok in axioms._kernel_slabs(structure.tables, arity, kernel)])
         found += [(axiom, tuples[i]) for i in np.flatnonzero(got != expected)]
         failing = [tuples[i] for i in np.flatnonzero(~expected)]
@@ -433,6 +681,100 @@ def test_a_flipped_table_entry_is_caught(hook, entry, monkeypatch):
     table = getattr(structure.tables, hook)  # filled; the hooks still read their rows
     table[entry] = (table[entry] + 1) % len(structure.elements) if hook == "join" else not table[entry]
     assert kernel_mismatches(structure, monkeypatch)
+
+
+SAMPLED_SUITES = ("nearsemilattice", "ortho", "qom", "goa", "bck", "skew")
+COUNTED_HOOKS = ("eq", "le", "join", "perp", "meet", "skew", "subtract", "osum", "overridden", "complement_in")
+
+
+def broken_join_matrices():
+    # x join y := x + y: idempotence and both absorption laws fail on samples
+    return dataclasses.replace(matrix_structure(dim=3), join=lambda x, y: x + y)
+
+
+def sampled_mismatches(structure, config, monkeypatch):
+    """Runs the sampled suites with counted hooks and holds every law's
+    kernel, walked on each drawn tuple, to its reference predicate on the
+    same tuple: the same verdicts, the report's counts and first witnesses,
+    and no hook called more often than by the reference. Returns the
+    disagreements."""
+    calls, drawn, laws = collections.Counter(), [], []
+
+    def counted(name, hook):
+        def wrapper(*args):
+            calls[name] += 1
+            return hook(*args)
+
+        return wrapper
+
+    def recording(rng, arity, count):
+        drawn.append([tuple(t) for t in structure.sample(rng, arity, count)])
+        return drawn[-1]
+
+    hooks = {name: counted(name, getattr(structure, name)) for name in COUNTED_HOOKS if getattr(structure, name)}
+    counted_structure = dataclasses.replace(structure, sample=recording, **hooks)
+    run_axiom = axioms._run_axiom
+
+    def recording_run(s, config, axiom, arity, kernel, **kw):
+        report = run_axiom(s, config, axiom, arity, kernel, **kw)
+        laws.append((axiom, report, drawn[-1]))
+        return report
+
+    monkeypatch.setattr(axioms, "_run_axiom", recording_run)
+    for suite in SAMPLED_SUITES:
+        run_suite(counted_structure, suite, config)
+    monkeypatch.undo()
+
+    reference, describe, found = reference_predicates(counted_structure), structure.describe, []
+    for axiom, report, tuples in laws:
+        calls.clear()
+        walked = [report.replay(t) for t in tuples]
+        walker_calls = collections.Counter(calls)
+        calls.clear()
+        expected = [bool(reference[axiom](*t)) for t in tuples]
+        found += [(axiom, "verdict", i) for i, (a, b) in enumerate(zip(walked, expected)) if a is not b]
+        found += [(axiom, "calls", h) for h in walker_calls if walker_calls[h] > calls[h]]
+        failing = [t for t, ok in zip(tuples, expected) if not ok]
+        wits = sorted(tuple(map(describe, t)) for t in failing[: config.max_witnesses])
+        if (report.stats["tuples"], report.stats["failures"]) != (len(tuples), len(failing)) or \
+                list(report.witness_desc) != wits:
+            found.append((axiom, "report"))
+    assert len(laws) >= 38
+    return found
+
+
+@pytest.mark.parametrize(
+    "carrier, dim, seed",
+    [("matrix", dim, seed) for dim in (3, 4) for seed in (1, 2, 3)] + [("broken-join", 3, 3)],
+)
+def test_walked_kernels_agree_with_their_predicates_on_samples(carrier, dim, seed, monkeypatch):
+    structure = broken_join_matrices() if carrier == "broken-join" else matrix_structure(dim=dim)
+    assert sampled_mismatches(structure, CheckConfig(seed=seed, samples=30), monkeypatch) == []
+
+
+# Recorded before the sampled laws ran as walked kernels, when each had a
+# Python predicate of its own.
+BROKEN_JOIN_DIGESTS = {
+    "nearsemilattice": "33f3bac36a5c11c4921f04c59250f1f47c0c76cbe59b5a2f68b9f3e733cc42d9",
+    "ortho": "31555785241d736dad5f03f3168406619a0d29cc05ae22538bf572832f53785b",
+    "qom": "7c1a8eab80d8713c3ad90faf28673fa2a3880c74a2cbb41f0976d41927e4187f",
+    "goa": "b3c7dfb2789ff648d5139b50b88ca535d252565d34fcad63018485d3aa282a42",
+    "bck": "7056fb9028af5a63723fb94ac93444d6204428087b78a5d5adb1397cda19d22f",
+    "skew": "7fe56b43a021f97cf874f9883b32662a369ce62e5c4d095b6f078317eb2919f7",
+}
+
+
+@pytest.mark.parametrize("suite", SAMPLED_SUITES)
+def test_sampled_failures_are_pinned_and_replay(suite):
+    reports = run_suite(broken_join_matrices(), suite, CheckConfig(seed=3, samples=30))
+    doc = [(r.to_dict(), r.witness_desc) for r in reports]
+    assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest() == BROKEN_JOIN_DIGESTS[suite]
+    if suite == "nearsemilattice":
+        failures = {r.axiom: r.stats["failures"] for r in reports if r.verdict == "fail"}
+        assert failures == {"∨1": 23, "∧1": 4, "∧2": 9}
+    for r in reports:
+        for w in r.witnesses:
+            assert r.replay(w) is False, (r.axiom, r.witness_desc)
 
 
 @pytest.mark.parametrize("carrier", ["rv3", "o6-brute-meet-and-skew", "pf-intersect-as-skew"])
@@ -496,10 +838,10 @@ def test_finite_carrier_without_key_gives_the_same_reports():
 @pytest.mark.parametrize("poset", [o6, mo2, lambda: boolean_cube(3)], ids=["o6", "mo2", "boolean3"])
 def test_overriding_table_matches_its_definition(poset):
     p = poset()
-    sq = _overriding(_indexed(p.as_structure()))
+    sq = _overriding_table(_indexed(p.as_structure()))
     for i, x in enumerate(p.elements):
         for k, y in enumerate(p.elements):
-            assert sq(i, k) == p.overriding(x, y), (x, y)
+            assert sq[i, k] == p.overriding(x, y), (x, y)
 
 
 def test_indexing_is_idempotent_and_uncached():

@@ -74,6 +74,26 @@ def test_compute_non_finite_entry_is_exit_1(capsys, tmp_path, mats, bad):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize(
+    "op, second, flag, value",
+    [
+        ("le", "a", "--eq-tol", "nan"),  # A <= A was printed false
+        ("le", "e1", "--eq-tol", "inf"),  # diag(1, 0) <= diag(0, 1) was printed true
+        ("meet", "e1", "--rank-tol", "nan"),  # a meet of diag(0, 1) was printed, not O
+        ("le", "a", "--rank-tol", "inf"),
+        ("le", "a", "--eq-tol", "-inf"),
+    ],
+)
+def test_compute_non_finite_tolerance_is_exit_1(capsys, tmp_path, op, second, flag, value):
+    paths = {
+        "a": write(tmp_path, "a.json", {"dim": 2, "entries": [[1, 0], [0, 0]]}),
+        "e1": write(tmp_path, "e1.json", {"dim": 2, "entries": [[0, 0], [0, 1]]}),
+    }
+    code, out, err = run(capsys, "compute", op, paths["a"], paths[second], f"{flag}={value}")
+    assert code == 1 and out == ""
+    assert "finite" in err
+
+
 def test_compute_le_where_norms_overflow(capsys, tmp_path):
     a = write(tmp_path, "big_a.json", {"dim": 2, "entries": [[1e200, 0], [0, 0]]})
     b = write(tmp_path, "big_b.json", {"dim": 2, "entries": [[-1e200, 0], [0, 0]]})

@@ -71,8 +71,10 @@ def test_projector_validation():
 
 
 def test_tolerances_validation():
-    with pytest.raises(ValueError):
-        Tolerances(rank_rel_tol=-1)
+    for name in ("rank_rel_tol", "eq_abs_tol"):
+        for bad in (-1, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                Tolerances(**{name: bad})
     with pytest.raises(ValueError):
         Tolerances(max_dim=0)
     assert DEFAULT_TOL.rank_rel_tol == 1e-9
