@@ -19,8 +19,9 @@ index grids. On a sampled carrier each table lookup calls the hook, and the
 kernel builds an expression that is walked on each sampled tuple. Failure
 witnesses replay through the kernel on one tuple, on either kind of carrier.
 Reports speak of the carrier's own elements again. Each initial segment
-[0, p] is indexed the same way, as a finite carrier of its own, so the
-segment laws are table lookups on either kind of carrier.
+[0, p] is indexed the same way, as a finite carrier of its own, on either
+kind of carrier; its order, lub, glb and complement tables are arrays, and
+the segment laws are kernels over them, run as any exhaustive law is.
 
 Every check returns :class:`AxiomReport` records. A ``fail`` verdict
 carries witnesses that re-falsify the law when replayed through the same
@@ -33,7 +34,6 @@ registered constructor are reported as informational rather than guessed.
 
 from __future__ import annotations
 
-import itertools
 import zlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
@@ -91,6 +91,8 @@ class StructureHandle:
     x perp z and x join z = p (or None when it cannot).
     ``segment(p)`` enumerates a finite family carrying the segment [0, p],
     zero included; members equal under ``eq`` count once, the first kept.
+    The segment laws call ``le`` and ``perp`` at most once per pair of the
+    family's elements, and ``complement_in`` once per member.
     ``key`` is an optional exact canonical key: finite carriers find hook
     results among their elements by it, and by an ``eq`` search without it.
     A finite carrier must be closed under its hooks (a result outside it is
@@ -399,8 +401,7 @@ def _pair_table(n, fill, pad):
 
 def _greatest_index(cand, le):
     """For each candidate set cand[..., u], the first candidate that every
-    candidate is below under the n×n order table le, or n: `_greatest` over
-    a table."""
+    candidate is below under the n×n order table le, or n."""
     below = cand.astype(np.float64) @ le.astype(np.float64)  # [..., c]: candidates u <= c
     ok = cand & (below == cand.sum(axis=-1, keepdims=True))
     return np.where(ok.any(axis=-1), ok.argmax(axis=-1), cand.shape[-1])
@@ -410,7 +411,7 @@ def _kernel_slabs(T, arity, kernel):
     """The kernel on every tuple of indices 0..n-1 of the tables T, as
     boolean masks over slabs of the first coordinate: yields (first index of
     the slab, mask of shape (slab, n, ..., n)), so the masks read in
-    itertools.product order."""
+    lexicographic order."""
     n = T.n
     first, *rest = T.derived(("grids", arity), lambda: np.ix_(*[np.arange(n)] * arity))
     step = max(1, _SLAB // n ** (arity - 1))
@@ -481,28 +482,41 @@ def _merged(structure, axiom, parts, replay):
     )
 
 
+def _exhaustive(T, arity, kernel, limit):
+    """(tuples, failures, the first `limit` failing index tuples in
+    lexicographic order) of the kernel on every tuple of indices of the
+    tables T."""
+    failures, witnesses = 0, []
+    for lo, ok in _kernel_slabs(T, arity, kernel):
+        bad = ok.size - int(np.count_nonzero(ok))
+        failures += bad
+        if bad and len(witnesses) < limit:
+            idx = np.unravel_index(np.flatnonzero(~ok)[: limit - len(witnesses)], ok.shape)
+            witnesses += [(lo + int(i), *map(int, rest)) for i, *rest in zip(*idx)]
+    return T.n**arity, failures, witnesses
+
+
+def _on_one(kernel, tup):
+    """The kernel on one tuple of indices."""
+    return bool(kernel(*(np.array([i]) for i in tup)).all())
+
+
 def _run_axiom(structure, config, axiom, arity, kernel, *, derived=False, informational=False, note=""):
     """One law, given as its kernel, over every tuple of a finite carrier or
     over sampled tuples. `kernel(x, ...)` reads the tables of `_tables`: on a
     finite carrier it decides the law at once on numpy index grids, the index
     n standing for "undefined"; on a sampled one it builds the law's `_Expr`,
     walked on each tuple. Replay is the kernel on one tuple."""
-    failures, witnesses = 0, []
     if structure.finite:
-        mode, count = "exhaustive", len(structure.elements) ** arity
-        for lo, ok in _kernel_slabs(structure.tables, arity, kernel):
-            bad = ok.size - int(np.count_nonzero(ok))
-            failures += bad
-            if bad and len(witnesses) < config.max_witnesses:
-                idx = np.unravel_index(np.flatnonzero(~ok)[: config.max_witnesses - len(witnesses)], ok.shape)
-                witnesses += [(lo + int(i), *map(int, rest)) for i, *rest in zip(*idx)]
+        mode = "exhaustive"
+        count, failures, witnesses = _exhaustive(structure.tables, arity, kernel, config.max_witnesses)
 
         def replay(tup):
-            return bool(kernel(*(np.array([i]) for i in tup)).all())
+            return _on_one(kernel, tup)
     elif structure.sample is None:
         raise InfiniteCarrier(f"structure {structure.name} has neither carrier nor sampler")
     else:
-        mode, count = "sampled", 0
+        mode, count, failures, witnesses = "sampled", 0, 0, []
         law = kernel(*(_Expr(lambda t, m, i=i: t[i]) for i in range(arity)))
 
         def replay(tup):
@@ -536,12 +550,11 @@ def _unregistered(structure, axiom, note):
     )
 
 
-def _greatest(candidates, le):
-    """The first candidate that every candidate is below, or None."""
-    for c in candidates:
-        if all(le(u, c) for u in candidates):
-            return c
-    return None
+def _brute_meet(le):
+    """The meet over the n×n order table le as a padded pair table: the
+    first greatest element below both, or n."""
+    n, lt = len(le), le.T  # lt[x, u]: u <= x
+    return _pair_table(n, lambda xs: _greatest_index(lt[xs, None, :] & lt[None, :, :], le), n)
 
 
 def _meet_table(structure):
@@ -549,12 +562,7 @@ def _meet_table(structure):
     T = _tables(structure)
     if structure.meet is not None:
         return T.meet
-
-    def build():
-        lt = T.le[: T.n, : T.n].T  # lt[x, u]: u <= x
-        return _pair_table(T.n, lambda xs: _greatest_index(lt[xs, None, :] & lt[None, :, :], lt.T), T.n)
-
-    return T.derived("brute meet", build)
+    return T.derived("brute meet", lambda: _brute_meet(T.le[: T.n, : T.n]))
 
 
 # ---------------------------------------------------------------------------
@@ -598,40 +606,26 @@ def _check_v5(structure, config, *, axiom="∨5", use_perp=False):
         return _unregistered(
             structure, axiom, "existence clause not decidable by sampling; no decomposition constructor registered"
         )
-    j, le, eq, perp, T = structure.join, structure.le, structure.eq, structure.perp, structure.tables
-    if use_perp and perp is None:
+    if use_perp and structure.perp is None:
         raise OrthogonalityUnavailable("Riesz check needs an orthogonality hook")
-    elements = structure.elements  # indices: the carrier is indexed
-
-    def law_holds(x, y, z):
-        # replay only; `_decomposition_sweep` decides every tuple from the tables
-        if use_perp and not perp(y, z):
-            return True
-        top = j(y, z)
-        if top is None or not le(x, top):
-            return True
-        return any(
-            (not use_perp or perp(a, b)) and (r := j(a, b)) is not None and eq(r, x)
-            for a in elements if le(a, y) for b in elements if le(b, z)
-        )
-
+    T = structure.tables
     # ∨5 runs in two suites: one sweep serves both
-    count, failures, witnesses = T.derived(
-        ("decomposition", use_perp, config.max_witnesses),
-        lambda: _decomposition_sweep(structure, use_perp, config.max_witnesses),
+    count, fail = T.derived(("decomposition", use_perp), lambda: _decomposition(structure, use_perp))
+    failures, witnesses = T.derived(
+        ("decomposition", use_perp, config.max_witnesses), lambda: _decomposition_sweep(T.n, fail, config.max_witnesses)
     )
     return _finish(
         structure, config, axiom, "exhaustive", count, failures, witnesses,
-        replay=lambda tup: law_holds(*tup),
+        replay=lambda tup: not fail(np.array([tup[1]]))[0, tup[2], tup[0]],
     )
 
 
-def _decomposition_sweep(structure, use_perp, max_witnesses):
-    """(tuples, failures, first witnesses) of ∨5, or ⊕6 with use_perp, on an
-    indexed carrier. The tuples are (x, y, z) with y join z defined (and y
-    perp z for ⊕6) and x below it, taken in the order y, z, x. A tuple fails
-    when no a <= y, b <= z (a perp b for ⊕6) join to an element equal to x,
-    decided on keys."""
+def _decomposition(structure, use_perp):
+    """(tuples, fail) of ∨5, or ⊕6 with use_perp, on an indexed carrier. The
+    tuples are (x, y, z) with y join z defined (and y perp z for ⊕6) and x
+    below it; fail(ys)[y, z, x] is True where such a tuple with y in ys
+    fails: no a <= y, b <= z (a perp b for ⊕6) join to an element equal to
+    x, decided on keys."""
     T = structure.tables
     n, J, L = T.n, T.join, T.le[: T.n, : T.n]
     key = np.array([structure.key(i) for i in structure.elements], dtype=np.intp)
@@ -640,24 +634,32 @@ def _decomposition_sweep(structure, use_perp, max_witnesses):
         joined &= T.perp[:n, :n]
     a, b = np.nonzero(joined)
     reached, lf = key[J[a, b]], L.astype(np.float64)
-    count = failures = 0
-    witnesses = []
-    step = max(1, _SLAB // (n * n))
-    for lo in range(0, n, step):
-        ys = np.arange(lo, min(n, lo + step))
+
+    def fail(ys):
         s = len(ys)
         # near[y, b, k]: some a <= y has (a, b) joined to key k; then ach[y, k, z]: some b <= z too
         cell = (np.arange(s)[:, None] * n + b) * n + reached
         near = np.bincount(cell.ravel(), weights=L[a][:, ys].T.ravel(), minlength=s * n * n)
         ach = near.reshape(s, n, n).transpose(0, 2, 1) @ lf > 0
         counted = joined[ys][:, :, None] & T.le.T[J[ys, :n]][:, :, :n]  # [y, z, x]
-        fail = counted & ~ach[:, key, :].transpose(0, 2, 1)
-        count += int(np.count_nonzero(counted))
-        bad = np.flatnonzero(fail)
+        return counted & ~ach[:, key, :].transpose(0, 2, 1)
+
+    # each joined (y, z) counts the x below y join z
+    return int(L.sum(axis=0)[J[:n, :n][joined]].sum()), fail
+
+
+def _decomposition_sweep(n, fail, max_witnesses):
+    """(failures, first witnesses (x, y, z)) of a decomposition law's fail
+    over every y, a slab of ys at a time, in the order y, z, x."""
+    failures, witnesses = 0, []
+    step = max(1, _SLAB // (n * n))
+    for lo in range(0, n, step):
+        slab = fail(np.arange(lo, min(n, lo + step)))
+        bad = np.flatnonzero(slab)
         failures += bad.size
-        for y, z, x in zip(*np.unravel_index(bad[: max_witnesses - len(witnesses)], fail.shape)):
+        for y, z, x in zip(*np.unravel_index(bad[: max_witnesses - len(witnesses)], slab.shape)):
             witnesses.append((int(x), lo + int(y), int(z)))
-    return count, failures, witnesses
+    return failures, witnesses
 
 
 def check_absorption_and_distributivity(structure: StructureHandle, config: CheckConfig = DEFAULT_CONFIG):
@@ -1075,14 +1077,19 @@ _OML_LAWS = (
 )
 
 
-def _segment_laws(structure, p):
-    """The segment [0, p] as an indexed finite carrier, the indices of its
-    members (the first of each `eq` class), and the _OML_LAWS as predicates
-    on those indices.
+def _segment(structure, p):
+    """The segment [0, p] as tables T over its members, the first element of
+    each `eq` class: the members as the structure's elements, find(x) (the
+    member index of an element, or T.n), and the _OML_LAWS as kernels over T.
 
-    Joins and meets are brute-forced within the segment from the order
+    The family comes from the segment hook, or else from the finite
+    carrier's elements below p, and is indexed as a finite carrier of its
+    own. T.lub and T.glb are brute-forced within the segment from its order
     alone, independently of the structure's own join/meet hooks, so the
-    segment laws act as an oracle on them."""
+    segment laws act as an oracle on them. T.unique is the only complement
+    in the segment (i perp k with i lub k = p), or T.n; T.complement is the
+    registered constructor's result where it lies in the segment, else
+    T.unique."""
     if structure.segment is not None:
         family = tuple(structure.segment(p))
     elif structure.finite:
@@ -1095,67 +1102,50 @@ def _segment_laws(structure, p):
             elements=family, perp=structure.perp, key=structure.key, describe=structure.describe,
         )
     )
-    le, perp, zero, top = seg.le, seg.perp, seg.zero, seg.find(p)
     members = [i for i in seg.elements if seg.key(i) == i]
+    m = len(members)
+    rank = dict(zip(members, range(m)))
 
-    def lub(i, j):
-        return _greatest([k for k in members if le(i, k) and le(j, k)], lambda u, c: le(c, u))
+    def find(x):
+        return rank.get(seg.find(x), m)
 
-    def glb(i, j):
-        return _greatest([k for k in members if le(k, i) and le(k, j)], le)
+    def restricted(lookup):
+        out = np.zeros((m + 1, m + 1), dtype=bool)
+        out[:m, :m] = [[lookup(i, k) for k in members] for i in members]
+        return out
 
-    def complements_of(i):
-        return [k for k in members if perp(i, k) and lub(i, k) == top]
-
-    complements = {}
-
-    def complement(i):
-        # the declared constructor when it applies, else the unique search result
-        if i not in complements:
-            k = None
-            if structure.complement_in is not None:
-                z = structure.complement_in(seg.carrier[i], p)
-                k = None if z is None else seg.find(z)
-            if k is None:
-                found = complements_of(i)
-                k = found[0] if len(found) == 1 else None
-            complements[i] = k
-        return complements[i]
-
-    def exists_unique(i):
-        return len(complements_of(i)) == 1
-
-    def involutive(i):
-        c = complement(i)
-        return c is not None and complement(c) == i
-
-    def antitone(i, j):
-        if not le(i, j):
-            return True
-        ci, cj = complement(i), complement(j)
-        return ci is not None and cj is not None and le(cj, ci)
-
-    def o_complement(i):
-        c = complement(i)
-        return c is not None and lub(i, c) == top and glb(i, c) == zero
-
-    def orthomodular(i, j):
-        if not le(i, j):
-            return True
-        ci = complement(i)
-        m = None if ci is None else glb(j, ci)
-        return m is not None and lub(i, m) == j
-
-    return seg, members, (exists_unique, involutive, antitone, o_complement, orthomodular)
+    T = _Tables(m, {})
+    T.le, perp = restricted(seg.le), restricted(seg.perp)
+    T.glb, T.lub = _brute_meet(T.le[:m, :m]), _brute_meet(T.le[:m, :m].T)
+    top, zero = find(p), rank[seg.zero]
+    complements = perp & (T.lub == top)  # [i, k]: k is a complement of i
+    T.unique = np.where(complements.sum(axis=1) == 1, complements.argmax(axis=1), m)
+    T.complement = T.unique.copy()
+    if structure.complement_in is not None:
+        for r, i in enumerate(members):
+            z = structure.complement_in(seg.carrier[i], p)
+            if z is not None and (k := find(z)) < m:
+                T.complement[r] = k
+    L, lub, glb, C, U = T.le, T.lub, T.glb, T.complement, T.unique
+    kernels = (
+        lambda x: U[x] != m,
+        lambda x: C[C[x]] == x,
+        lambda x, y: ~L[x, y] | L[C[y], C[x]],
+        lambda x: (lub[x, C[x]] == top) & (glb[x, C[x]] == zero),
+        lambda x, y: ~L[x, y] | (lub[x, glb[y, C[x]]] == y),
+    )
+    return T, [seg.carrier[i] for i in members], find, kernels
 
 
 def check_initial_segments_oml(structure: StructureHandle, tops: Sequence, config: CheckConfig = DEFAULT_CONFIG):
     """Orthomodular-lattice laws of the initial segments [0, p].
 
     For each top the segment family is enumerated (via the segment hook on
-    sampled carriers) and all joins/meets are brute-forced within it from
-    the order alone, independently of any join/meet hooks. One report per
-    law, aggregated over segments; witnesses carry the top first."""
+    sampled carriers) and indexed, its joins and meets are brute-forced
+    within it from the order alone, independently of any join/meet hooks,
+    and each law is a kernel over the segment's tables, run on every tuple
+    of members as any exhaustive law is. One report per law, aggregated over
+    segments; witnesses carry the top first."""
     structure = _indexed(structure)
     _require_perp(structure)
     if isinstance(structure, _IndexedHandle):
@@ -1163,19 +1153,17 @@ def check_initial_segments_oml(structure: StructureHandle, tops: Sequence, confi
     tops = list(tops)
     tallies = [[0, 0, []] for _ in _OML_LAWS]
     for p in tops:
-        seg, members, laws = _segment_laws(structure, p)
-        for (_, arity), holds, tally in zip(_OML_LAWS, laws, tallies):
-            for tup in itertools.product(members, repeat=arity):
-                tally[0] += 1
-                if not holds(*tup):
-                    tally[1] += 1
-                    if len(tally[2]) < config.max_witnesses:
-                        tally[2].append((p, *(seg.carrier[i] for i in tup)))
+        T, members, _, kernels = _segment(structure, p)
+        for (_, arity), kernel, tally in zip(_OML_LAWS, kernels, tallies):
+            count, failures, witnesses = _exhaustive(T, arity, kernel, config.max_witnesses - len(tally[2]))
+            tally[0] += count
+            tally[1] += failures
+            tally[2] += [(p, *(members[i] for i in w)) for w in witnesses]
 
     def replay(tup, law):
-        seg, _, laws = _segment_laws(structure, tup[0])
-        rest = [seg.find(x) for x in tup[1:]]
-        return None not in rest and laws[law](*rest)
+        T, _, find, kernels = _segment(structure, tup[0])
+        rest = [find(x) for x in tup[1:]]
+        return T.n not in rest and _on_one(kernels[law], rest)
 
     reports = []
     for law, ((name, _), (checked, failed, wits)) in enumerate(zip(_OML_LAWS, tallies)):

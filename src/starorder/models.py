@@ -406,6 +406,8 @@ def pf_from_json(doc) -> PartialFunction:
         if k not in by_str:
             raise ParseError(f"map index {k!r} is not in the universe")
         graph.append((by_str[k], v))
+    if any(isinstance(x, (list, dict)) for x in universe + [v for _, v in graph]):
+        raise ParseError("universe labels and map values must be JSON scalars")
     try:
         return PartialFunction(frozenset(universe), frozenset(graph))
     except ValueError as exc:
@@ -424,5 +426,5 @@ def rv_from_json(doc) -> RandomVariable:
         raise ParseError("values must be numbers")
     try:
         return RandomVariable(tuple(vals))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # an integer beyond float range overflows
         raise ParseError(str(exc)) from exc

@@ -371,10 +371,12 @@ def _is_real(t) -> bool:
 
 
 def _parse_scalar(cell):
-    if _is_real(cell):
-        return complex(cell, 0.0)
-    if isinstance(cell, list) and len(cell) == 2 and all(_is_real(t) for t in cell):
-        return complex(cell[0], cell[1])
+    parts = [cell, 0.0] if _is_real(cell) else cell
+    if isinstance(parts, list) and len(parts) == 2 and all(_is_real(t) for t in parts):
+        try:
+            return complex(*parts)
+        except OverflowError as exc:  # an integer beyond float range
+            raise ParseError("matrix entry is beyond float range") from exc
     raise ParseError(f"matrix entry must be a number or [re, im] pair, got {cell!r}")
 
 

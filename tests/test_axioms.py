@@ -359,10 +359,9 @@ KERNEL_CARRIERS = {
 
 def decomposition_reference(structure, use_perp):
     """The ∨5 / ⊕6 sweep as plain loops over an indexed carrier's hooks:
-    (tuples, failures, witnesses) in the order y, z, x."""
+    (tuples, every failing tuple (x, y, z) in the order y, z, x)."""
     j, le, perp, key, elements = structure.join, structure.le, structure.perp, structure.key, structure.elements
-    count = failures = 0
-    witnesses = []
+    count, failing = 0, []
     for y, z in itertools.product(elements, repeat=2):
         top = j(y, z)
         if (use_perp and not perp(y, z)) or top is None:
@@ -373,9 +372,8 @@ def decomposition_reference(structure, use_perp):
             if le(x, top):
                 count += 1
                 if key(x) not in reached:
-                    failures += 1
-                    witnesses += [(x, y, z)][: CFG.max_witnesses - len(witnesses)]
-    return count, failures, witnesses
+                    failing.append((x, y, z))
+    return count, failing
 
 
 def reference_predicates(structure):
@@ -660,9 +658,9 @@ def kernel_mismatches(structure, monkeypatch):
                 collections.Counter(report.witnesses) != wits:
             found.append((axiom, "report"))
     for axiom, use_perp, report in decompositions:
-        count, failures, witnesses = decomposition_reference(structure, use_perp)
-        wits = collections.Counter(tuple(carrier[i] for i in t) for t in witnesses)
-        if (report.stats["tuples"], report.stats["failures"]) != (count, failures) or \
+        count, failing = decomposition_reference(structure, use_perp)
+        wits = collections.Counter(tuple(carrier[i] for i in t) for t in failing[: CFG.max_witnesses])
+        if (report.stats["tuples"], report.stats["failures"]) != (count, len(failing)) or \
                 collections.Counter(report.witnesses) != wits:
             found.append((axiom, "report"))
     assert len(laws) >= 20 or structure.perp is None
@@ -681,6 +679,146 @@ def test_a_flipped_table_entry_is_caught(hook, entry, monkeypatch):
     table = getattr(structure.tables, hook)  # filled; the hooks still read their rows
     table[entry] = (table[entry] + 1) % len(structure.elements) if hook == "join" else not table[entry]
     assert kernel_mismatches(structure, monkeypatch)
+
+
+@pytest.mark.parametrize("poset", [o6, mo2, lambda: boolean_cube(3)], ids=["o6", "mo2", "boolean3"])
+def test_decomposition_replay_agrees_with_the_reference_on_every_tuple(poset):
+    structure = _indexed(poset().as_structure())
+    reports = by_axiom(check_riesz(structure, CFG))
+    for axiom, use_perp in (("⊕6", True), ("∨5", False)):
+        failing = set(decomposition_reference(structure, use_perp)[1])
+        for t in itertools.product(structure.elements, repeat=3):
+            assert reports[axiom].replay(tuple(structure.carrier[i] for i in t)) is (t not in failing), (axiom, t)
+
+
+def segment_reference(structure, p):
+    """The oml laws on [0, p] as Python predicates on one tuple at a time,
+    with lubs, glbs and complements searched among the members through the
+    segment's hooks: the reference that the segment kernels are held to.
+    Returns the indexed segment, its members (the first of each `eq` class)
+    and the predicates on them."""
+    if structure.segment is not None:
+        family = tuple(structure.segment(p))
+    else:
+        family = tuple(x for x in structure.elements if structure.le(x, p))
+    seg = _indexed(StructureHandle(
+        name=structure.name, zero=structure.zero, eq=structure.eq, le=structure.le, join=None,
+        elements=family, perp=structure.perp, key=structure.key,
+    ))
+    le, perp, zero, top = seg.le, seg.perp, seg.zero, seg.find(p)
+    members = [i for i in seg.elements if seg.key(i) == i]
+
+    def greatest(candidates, le):
+        return next((c for c in candidates if all(le(u, c) for u in candidates)), None)
+
+    def lub(i, j):
+        return greatest([k for k in members if le(i, k) and le(j, k)], lambda u, c: le(c, u))
+
+    def glb(i, j):
+        return greatest([k for k in members if le(k, i) and le(k, j)], le)
+
+    def complements_of(i):
+        return [k for k in members if perp(i, k) and lub(i, k) == top]
+
+    complements = {}
+
+    def complement(i):
+        # the declared constructor when it applies, else the unique search result
+        if i not in complements:
+            k = None
+            if structure.complement_in is not None:
+                z = structure.complement_in(seg.carrier[i], p)
+                k = None if z is None else seg.find(z)
+            if k is None:
+                found = complements_of(i)
+                k = found[0] if len(found) == 1 else None
+            complements[i] = k
+        return complements[i]
+
+    def exists_unique(i):
+        return len(complements_of(i)) == 1
+
+    def involutive(i):
+        c = complement(i)
+        return c is not None and complement(c) == i
+
+    def antitone(i, j):
+        if not le(i, j):
+            return True
+        ci, cj = complement(i), complement(j)
+        return ci is not None and cj is not None and le(cj, ci)
+
+    def o_complement(i):
+        c = complement(i)
+        return c is not None and lub(i, c) == top and glb(i, c) == zero
+
+    def orthomodular(i, j):
+        if not le(i, j):
+            return True
+        ci = complement(i)
+        m = None if ci is None else glb(j, ci)
+        return m is not None and lub(i, m) == j
+
+    return seg, members, (exists_unique, involutive, antitone, o_complement, orthomodular)
+
+
+def segment_mismatches(structure, p, edit=lambda T: None):
+    """Holds every oml kernel on [0, p], after edit(T) on the segment's
+    tables, to its reference predicate, tuple by tuple; returns the
+    disagreements."""
+    T, _, _, kernels = axioms._segment(structure, p)
+    edit(T)
+    _, members, predicates = segment_reference(structure, p)
+    assert len(members) == T.n
+    found = []
+    for (axiom, arity), kernel, holds in zip(axioms._OML_LAWS, kernels, predicates):
+        tuples = list(itertools.product(range(T.n), repeat=arity))
+        expected = np.array([bool(holds(*(members[i] for i in t))) for t in tuples])
+        got = np.concatenate([ok.ravel() for _, ok in axioms._kernel_slabs(T, arity, kernel)])
+        found += [(p, axiom, tuples[i]) for i in np.flatnonzero(got != expected)]
+    return found
+
+
+def listing_members_twice(structure):
+    members = structure.segment or (lambda p: [x for x in structure.elements if structure.le(x, p)])
+    return dataclasses.replace(structure, segment=lambda p: [x for x in members(p) for _ in range(2)])
+
+
+@pytest.mark.parametrize(
+    "carrier", sorted(c for c in KERNEL_CARRIERS if c not in ("bowtie", "bowtie-brute-meet", "pentagon-broken-join"))
+)
+def test_segment_kernels_agree_with_their_predicates(carrier):
+    structure = _indexed(KERNEL_CARRIERS[carrier]())
+    assert [f for p in structure.elements for f in segment_mismatches(structure, p)] == []
+
+
+@pytest.mark.parametrize("dim, twice", [(3, False), (4, False), (3, True)])
+def test_segment_kernels_agree_with_their_predicates_on_matrices(dim, twice, rng):
+    structure = matrix_structure(dim=dim)
+    if twice:
+        structure = listing_members_twice(structure)
+    for p in [random_spectrum_hermitian(rng, dim) for _ in range(3)]:
+        assert segment_mismatches(structure, p) == []
+
+
+def test_segment_kernels_agree_with_their_predicates_on_a_family_listed_twice():
+    structure = _indexed(listing_members_twice(o6().as_structure()))
+    assert [f for p in structure.elements for f in segment_mismatches(structure, p)] == []
+
+
+@pytest.mark.parametrize(
+    "table, entry", [("le", (1, 0)), ("lub", (1, 2)), ("glb", (3, 5)), ("complement", (2,)), ("unique", (4,))]
+)
+def test_a_flipped_segment_table_entry_is_caught(table, entry):
+    structure = _indexed(boolean_cube(3).as_structure())
+    top = structure.find("111")
+
+    def flip(T):
+        a = getattr(T, table)
+        a[entry] = not a[entry] if a.dtype == bool else (T.n if a[entry] < T.n else 0)
+
+    assert segment_mismatches(structure, top) == []
+    assert segment_mismatches(structure, top, flip)
 
 
 SAMPLED_SUITES = ("nearsemilattice", "ortho", "qom", "goa", "bck", "skew")

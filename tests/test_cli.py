@@ -174,6 +174,38 @@ def test_compute_boolean_and_model_ops(capsys, tmp_path, mats):
     assert code == 2 and "Conflict" in err
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"universe": [0, 1], "map": {"0": [1, 2]}},  # a list value
+        {"universe": [0, 1], "map": {"0": {"a": 1}}},  # an object value
+        {"universe": [[0], 1], "map": {}},  # a list label
+    ],
+)
+def test_compute_unhashable_partial_function_is_exit_1(capsys, tmp_path, doc):
+    phi = write(tmp_path, "phi.json", doc)
+    psi = write(tmp_path, "psi.json", {"universe": [0, 1], "map": {}})
+    code, out, err = run(capsys, "compute", "pf-union", phi, psi)
+    assert code == 1 and out == ""
+    assert "ParseError" in err
+
+
+@pytest.mark.parametrize(
+    "op, doc",
+    [
+        ("rv-le", {"values": [10**400, 0]}),
+        ("le", {"dim": 2, "entries": [[10**400, 0], [0, 1]]}),
+        ("le", {"dim": 2, "entries": [[1, [0, -(10**400)]], [[0, 10**400], 1]]}),
+    ],
+)
+def test_compute_integer_beyond_float_range_is_exit_1(capsys, tmp_path, op, doc):
+    big = write(tmp_path, "big.json", doc)
+    other = write(tmp_path, "other.json", {"values": [1, 2]} if op == "rv-le" else {"dim": 2, "entries": [[1, 0], [0, 1]]})
+    code, out, err = run(capsys, "compute", op, big, other)
+    assert code == 1 and out == ""
+    assert "ParseError" in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 
