@@ -611,11 +611,12 @@ def _check_v5(structure, config, *, axiom="∨5", use_perp=False):
     T = structure.tables
     # ∨5 runs in two suites: one sweep serves both
     count, fail = T.derived(("decomposition", use_perp), lambda: _decomposition(structure, use_perp))
-    failures, witnesses = T.derived(
-        ("decomposition", use_perp, config.max_witnesses), lambda: _decomposition_sweep(T.n, fail, config.max_witnesses)
+    _, failures, witnesses = T.derived(
+        ("decomposition", use_perp, config.max_witnesses),
+        lambda: _exhaustive(T, 3, lambda y, z, x: ~fail(y.ravel()), config.max_witnesses),
     )
     return _finish(
-        structure, config, axiom, "exhaustive", count, failures, witnesses,
+        structure, config, axiom, "exhaustive", count, failures, [(x, y, z) for y, z, x in witnesses],
         replay=lambda tup: not fail(np.array([tup[1]]))[0, tup[2], tup[0]],
     )
 
@@ -646,20 +647,6 @@ def _decomposition(structure, use_perp):
 
     # each joined (y, z) counts the x below y join z
     return int(L.sum(axis=0)[J[:n, :n][joined]].sum()), fail
-
-
-def _decomposition_sweep(n, fail, max_witnesses):
-    """(failures, first witnesses (x, y, z)) of a decomposition law's fail
-    over every y, a slab of ys at a time, in the order y, z, x."""
-    failures, witnesses = 0, []
-    step = max(1, _SLAB // (n * n))
-    for lo in range(0, n, step):
-        slab = fail(np.arange(lo, min(n, lo + step)))
-        bad = np.flatnonzero(slab)
-        failures += bad.size
-        for y, z, x in zip(*np.unravel_index(bad[: max_witnesses - len(witnesses)], slab.shape)):
-            witnesses.append((int(x), lo + int(y), int(z)))
-    return failures, witnesses
 
 
 def check_absorption_and_distributivity(structure: StructureHandle, config: CheckConfig = DEFAULT_CONFIG):

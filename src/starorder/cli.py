@@ -37,7 +37,7 @@ from .errors import (
     StarOrderError,
     UnknownElement,
 )
-from .numerics import Tolerances, matrix_from_json, matrix_to_json, rank_sensitive
+from .numerics import DEFAULT_TOL, Tolerances, matrix_from_json, matrix_to_json, rank_sensitive
 
 _UNDEFINED = (NotOrthogonal, NotUpperBound, NotLess, Conflict)
 _BAD_INPUT = (ParseError, DimMismatch, PosetInvalid, UnknownElement, ValueError, OSError)
@@ -309,8 +309,8 @@ def cmd_poset_validate(args) -> int:
 
 def _add_common(parser):
     parser.add_argument("--seed", type=int, default=None, help="RNG seed (default: LOL_SEED or 0)")
-    parser.add_argument("--rank-tol", type=float, default=1e-9, dest="rank_tol")
-    parser.add_argument("--eq-tol", type=float, default=1e-8, dest="eq_tol")
+    parser.add_argument("--rank-tol", type=float, default=DEFAULT_TOL.rank_rel_tol, dest="rank_tol")
+    parser.add_argument("--eq-tol", type=float, default=DEFAULT_TOL.eq_abs_tol, dest="eq_tol")
     parser.add_argument("--format", choices=("json", "table"), default="json")
     parser.add_argument("--out", default=None, help="write output to this path instead of stdout")
 

@@ -186,7 +186,11 @@ class RandomVariable:
         if not vals:
             raise ValueError("sample space must be nonempty")
         for v in vals:
-            if not math.isfinite(float(v)):
+            try:
+                finite = math.isfinite(float(v))
+            except OverflowError as exc:  # an integer beyond float range
+                raise ValueError("random variable entries must lie in float range") from exc
+            if not finite:
                 raise ValueError("random variable entries must be finite")
         object.__setattr__(self, "values", vals)
 
@@ -426,5 +430,5 @@ def rv_from_json(doc) -> RandomVariable:
         raise ParseError("values must be numbers")
     try:
         return RandomVariable(tuple(vals))
-    except (ValueError, OverflowError) as exc:  # an integer beyond float range overflows
+    except ValueError as exc:
         raise ParseError(str(exc)) from exc

@@ -5,7 +5,9 @@ to the largest eigenvalue magnitude, and operator equality is a Frobenius
 norm test with a mixed absolute/relative threshold. Both knobs live in
 :class:`Tolerances` so that callers can tighten or relax them coherently.
 The equality implemented by :func:`op_equal` is *the* equality of the whole
-package; no other module compares raw matrix entries.
+package; no other module compares raw matrix entries. The order's other
+two decisions live here too: the rank cutoff ``_rank_mask`` and the test
+for O's class ``_is_zero``, which ``_order_range`` applies to P_A.
 
 Three things keep the hot paths cheap without changing a single bit of any
 result. :func:`eigh` and :func:`range_projector` each keep their 16 most
@@ -108,7 +110,7 @@ class HermitianOperator:
     __slots__ = ("entries", "defect")
 
     def __init__(self, entries):
-        m = np.array(entries, dtype=np.complex128)
+        m = _float_array(entries, np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
             raise ValueError(f"expected a nonempty square matrix, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
@@ -155,7 +157,7 @@ class HermitianOperator:
 
     @classmethod
     def diagonal(cls, values):
-        return cls(np.diag(np.asarray(values, dtype=float)))
+        return cls(np.diag(_float_array(values, float)))
 
     def __add__(self, other):
         _same_dim(self, other)
@@ -202,6 +204,13 @@ class Projector(HermitianOperator):
     def complement(self) -> "Projector":
         """I - P, the projector onto the orthogonal complement of the range."""
         return Projector._trusted(_hermitian_part(np.eye(self.dim) - self.entries))
+
+
+def _float_array(x, dtype) -> np.ndarray:
+    try:
+        return np.array(x, dtype=dtype)
+    except OverflowError as exc:  # an integer beyond float range
+        raise ValueError("matrix entries must lie in float range") from exc
 
 
 def _same_dim(a, b):
@@ -260,12 +269,18 @@ def _spectrum(a: HermitianOperator):
     return w, v
 
 
+def _rank_mask(w: np.ndarray, tol: Tolerances, floor: float = 0.0) -> np.ndarray:
+    """The package's rank cutoff: which eigenvalues count as nonzero,
+    |w| > rank_rel_tol * max(floor, max |w|)."""
+    top = float(np.max(np.abs(w))) if w.size else 0.0
+    return np.abs(w) > tol.rank_rel_tol * max(top, floor)
+
+
 def _range_basis(a: HermitianOperator, tol: Tolerances) -> np.ndarray:
     """The eigenvectors whose eigenvalues exceed rank_rel_tol times the
     largest magnitude: an orthonormal basis of the numerical range."""
     w, v = eigh(a)
-    top = float(np.max(np.abs(w))) if w.size else 0.0
-    return v[:, np.abs(w) > tol.rank_rel_tol * top]
+    return v[:, _rank_mask(w, tol)]
 
 
 def range_projector(a: HermitianOperator, tol: Tolerances = DEFAULT_TOL) -> Projector:
@@ -283,6 +298,19 @@ def range_projector(a: HermitianOperator, tol: Tolerances = DEFAULT_TOL) -> Proj
 def _range_projector(a: HermitianOperator, tol: Tolerances) -> Projector:
     u = _range_basis(a, tol)
     return Projector._trusted(_hermitian_part(u @ u.conj().T))
+
+
+def _is_zero(a: HermitianOperator, tol: Tolerances) -> bool:
+    """Membership in O's class under `op_equal`: ||A||_F <= eq_abs_tol."""
+    return a.norm() <= tol.eq_abs_tol
+
+
+def _order_range(a: HermitianOperator, tol: Tolerances) -> Projector:
+    """P_A as the order reads it: `range_projector`, but 0 for A in O's class,
+    whose rounding noise the relative rank cutoff would keep as range."""
+    if _is_zero(a, tol):
+        return Projector._trusted(np.zeros((a.dim, a.dim), dtype=np.complex128))
+    return range_projector(a, tol)
 
 
 def proj_meet(p: Projector, q: Projector, tol: Tolerances = DEFAULT_TOL) -> Projector:
@@ -305,8 +333,7 @@ def proj_join(p: Projector, q: Projector, tol: Tolerances = DEFAULT_TOL) -> Proj
     """
     _same_dim(p, q)
     w, v = eigh(HermitianOperator._trusted(p.entries + q.entries))
-    top = float(np.max(np.abs(w))) if w.size else 0.0
-    u = v[:, np.abs(w) > tol.rank_rel_tol * max(1.0, top)]
+    u = v[:, _rank_mask(w, tol, floor=1.0)]
     return Projector._trusted(_hermitian_part(u @ u.conj().T))
 
 

@@ -25,12 +25,12 @@ l != 0 that lie in ran A.  Both therefore take one eigendecomposition and
 one small null space per eigenvalue cluster.  Both are total; the join is
 only provided against an explicit upper-bound witness, because deciding
 whether a common upper bound exists is a different problem from computing
-the join once one is known.
+the join once one is known.  Which operators count as O and which
+eigenvalues as zero is decided in `numerics`, by `_is_zero`, `_order_range`
+and the rank cutoff behind `range_projector`.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -38,10 +38,10 @@ from .errors import NotLess, NotOrthogonal, NotUpperBound
 from .numerics import (
     DEFAULT_TOL,
     HermitianOperator,
-    Projector,
     Tolerances,
-    _RANGE_CACHE_SIZE,
     _arrays_close,
+    _is_zero,
+    _order_range,
     _product_negligible,
     _range_basis,
     _same_dim,
@@ -66,30 +66,10 @@ __all__ = [
 ]
 
 
-def _zeroish(a: HermitianOperator, tol: Tolerances) -> bool:
-    # membership in the zero class of the package equality
-    return a.norm() <= tol.eq_abs_tol
-
-
-@functools.lru_cache(maxsize=_RANGE_CACHE_SIZE)
-def _eff_range_projector(a: HermitianOperator, tol: Tolerances) -> Projector:
-    """Range projector as seen by the order: operators equal to O under the
-    package equality get the zero projector, so that order predicates are
-    congruent with `op_equal`. (The bare relative rank cutoff would keep
-    rounding noise as range for such operators.) Memoized like
-    `range_projector`, by operator identity."""
-    if _zeroish(a, tol):
-        return Projector._trusted(np.zeros((a.dim, a.dim), dtype=np.complex128))
-    return range_projector(a, tol)
-
-
 def logical_le(a: HermitianOperator, b: HermitianOperator, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Whether A precedes B, i.e. A = B P_A."""
+    """Whether A precedes B, i.e. A = B P_A (for A in O's class, P_A = 0)."""
     _same_dim(a, b)
-    if _zeroish(a, tol):
-        return True
-    pa = range_projector(a, tol)
-    return _arrays_close(a.entries, b.entries @ pa.entries, tol)
+    return _arrays_close(a.entries, b.entries @ _order_range(a, tol).entries, tol)
 
 
 def orthogonal(a: HermitianOperator, b: HermitianOperator, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -133,7 +113,7 @@ def _eigen_meet(a, b, spectrum, m, s, m_scale, tol) -> HermitianOperator:
     """
     n = b.dim
     cols = []
-    if not (_zeroish(a, tol) or _zeroish(b, tol)):
+    if not (_is_zero(a, tol) or _is_zero(b, tol)):
         w, v = spectrum
         cut = tol.rank_rel_tol * s
         bounds = [0, *(np.flatnonzero(np.diff(w) > cut) + 1), n]
@@ -155,7 +135,7 @@ def _checked_family(family, c, tol):
     for i, a in enumerate(members):
         if not logical_le(a, c, tol):
             raise NotUpperBound(i)
-        projs.append(_eff_range_projector(a, tol))
+        projs.append(_order_range(a, tol))
     return projs
 
 
@@ -186,7 +166,7 @@ def bck_subtract(b: HermitianOperator, a: HermitianOperator, tol: Tolerances = D
     """Total subtraction B(I - P_{A meet B}), the weak-BCK difference of B by A."""
     _same_dim(a, b)
     m = meet(a, b, tol)
-    pm = _eff_range_projector(m, tol)
+    pm = _order_range(m, tol)
     return symmetrized(b.entries @ (np.eye(b.dim) - pm.entries))
 
 
@@ -203,9 +183,9 @@ def segment_complement(a: HermitianOperator, b: HermitianOperator, tol: Toleranc
 def overridden(a: HermitianOperator, b: HermitianOperator, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Whether A's range is contained in B's range (P_A <= P_B)."""
     _same_dim(a, b)
-    if _zeroish(a, tol):
+    if _is_zero(a, tol):
         return True
-    if _zeroish(b, tol):
+    if _is_zero(b, tol):
         return False
     pa = range_projector(a, tol)
     pb = range_projector(b, tol)
@@ -217,7 +197,7 @@ def skew_meet(a: HermitianOperator, b: HermitianOperator, tol: Tolerances = DEFA
     overridden by A. Total and associative but not commutative."""
     _same_dim(a, b)
     # ran A = ker(I - P_A); a projector's singular values live at scale 1
-    m = np.eye(a.dim) - _eff_range_projector(a, tol).entries
+    m = np.eye(a.dim) - _order_range(a, tol).entries
     return _eigen_meet(a, b, eigh(b), m, _scale(a, b), 1.0, tol)
 
 
@@ -231,7 +211,7 @@ def _try_join(a: HermitianOperator, b: HermitianOperator, tol: Tolerances = DEFA
     public API for joins is `join_bounded`, which takes the witness.
     """
     _same_dim(a, b)
-    ua, ub = (np.zeros((op.dim, 0)) if _zeroish(op, tol) else _range_basis(op, tol) for op in (a, b))
+    ua, ub = (np.zeros((op.dim, 0)) if _is_zero(op, tol) else _range_basis(op, tol) for op in (a, b))
     x = np.hstack([ua, ub])
     if x.shape[1] == 0:
         return HermitianOperator.zero(a.dim)

@@ -27,7 +27,7 @@ import itertools
 
 import numpy as np
 
-from .numerics import DEFAULT_TOL, HermitianOperator, Projector, Tolerances, eigh, op_equal
+from .numerics import DEFAULT_TOL, HermitianOperator, Projector, Tolerances, _rank_mask, eigh, op_equal
 from . import observables as obs
 from .axioms import StructureHandle
 from .errors import ConvergenceFailure, NotLess
@@ -181,7 +181,7 @@ def random_commuting_projector(
     # a random sub-projector in each cluster of nearly equal eigenvalues
     order, start, cols = np.argsort(w), 0, [np.zeros((n, 0))]
     for i in range(1, n + 1):
-        if i < n and abs(w[order[i]] - w[order[start]]) <= 1e-8 * max(1.0, abs(w[order[start]])):
+        if i < n and abs(w[order[i]] - w[order[start]]) <= tol.eq_abs_tol * max(1.0, abs(w[order[start]])):
             continue
         block, start = order[start:i], i
         r = int(rng.integers(0, len(block) + 1))
@@ -191,9 +191,7 @@ def random_commuting_projector(
     return Projector(u @ u.conj().T)
 
 
-def bounded_family(
-    rng: np.random.Generator, dim: int, size: int, tol: Tolerances = DEFAULT_TOL, disjoint: bool = False
-):
+def bounded_family(rng: np.random.Generator, dim: int, size: int, disjoint: bool = False):
     """(C, members): members are C P_i with P_i commuting with C, so C bounds
     them all. With disjoint=True the P_i are sums over disjoint subsets of a
     common eigenbasis, making the members pairwise orthogonal."""
@@ -203,19 +201,16 @@ def bounded_family(
 
 def spectral_segment(b: HermitianOperator, tol: Tolerances = DEFAULT_TOL):
     """The finite family {B P : P a sum of spectral projectors of B}, which
-    carries the initial segment [O, B]; 2^dim members before deduplication.
-
-    Assembled spectrally with the numerical-rank cutoff, so kernel
-    directions contribute exact zeros rather than rounding noise."""
+    carries the initial segment [O, B]: B P_S assembled spectrally for each
+    subset S of B's nonzero eigen-directions under the rank cutoff, in bit
+    mask order, so 2^rank members. They are not deduplicated (the harness
+    merges them under `eq`); two are equal under `op_equal` only if the
+    eigenvalues by which they differ lie above the rank cutoff and yet
+    within eq_abs_tol * max(1, ||B||) of 0, which pool spectra never do."""
     w, v = eigh(b)
-    top = float(np.max(np.abs(w))) if w.size else 0.0
-    w = np.where(np.abs(w) > tol.rank_rel_tol * top, w, 0.0)
-    out = []
-    for mask in range(2 ** b.dim):
-        candidate = _assemble(w, v, [i for i in range(b.dim) if mask >> i & 1])
-        if not any(op_equal(candidate, seen, tol) for seen in out):
-            out.append(candidate)
-    return out
+    idx = np.flatnonzero(_rank_mask(w, tol))
+    bits = np.arange(len(idx))
+    return [_assemble(w, v, idx[mask >> bits & 1 == 1]) for mask in range(2 ** len(idx))]
 
 
 def describe_operator(a: HermitianOperator, digits: int = 8) -> str:

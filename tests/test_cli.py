@@ -8,7 +8,8 @@ import warnings
 import pytest
 
 from starorder import models
-from starorder.cli import main
+from starorder.cli import build_parser, main
+from starorder.numerics import DEFAULT_TOL, Tolerances
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -92,6 +93,11 @@ def test_compute_non_finite_tolerance_is_exit_1(capsys, tmp_path, op, second, fl
     code, out, err = run(capsys, "compute", op, paths["a"], paths[second], f"{flag}={value}")
     assert code == 1 and out == ""
     assert "finite" in err
+
+
+def test_tolerance_flags_default_to_the_package_tolerances():
+    args = build_parser().parse_args(["compute", "le", "a.json"])
+    assert Tolerances(rank_rel_tol=args.rank_tol, eq_abs_tol=args.eq_tol) == DEFAULT_TOL
 
 
 def test_compute_le_where_norms_overflow(capsys, tmp_path):
@@ -249,7 +255,9 @@ def test_verify_reports_are_byte_identical(tmp_path, capsys):
 # before internal results skipped the constructor checks, the sixth before the
 # segments [0, p] became indexed carriers, the last two (the only ones above
 # dim 6, to guard batched LAPACK against looped LAPACK) before the sampler
-# drew its tuples first and batched their linear algebra. The two finite
+# drew its tuples first and batched their linear algebra, and the last, the
+# full matrix run at the default sample count, before the zero test and the
+# rank cutoff of the order moved into numerics. The two finite
 # models are exact; the matrix report also rests on the floating point of numpy's LAPACK, so a
 # mismatch on another build calls for reading the report, not a new digest.
 PINNED_REPORTS = [
@@ -280,6 +288,7 @@ PINNED_REPORTS = [
         ["matrix", "nearsemilattice", "skew", "goa", "--dim", "16", "--samples", "30", "--seed", "11"],
         "cfa47e79f478e33dfaebc679d441afcf73c84a6e7f92c9613b2e82badc7c97a6",
     ),
+    (["matrix", "all", "--seed", "7", "--dim", "4"], "b90ba20f5a1309edfdf48b82ffa556c37866cec7f47df2b6349ae90cce89f175"),
 ]
 
 
@@ -373,6 +382,8 @@ def test_verify_bck_law_2_holds_on_small_eigenvalue_tuples(capsys, argv):
     [
         pytest.param("goa", "40501226", marks=pytest.mark.xfail(
             strict=True, reason="⊕5: x of norm ~5e-5 is orthogonal to itself under the absolute eq_abs_tol, but not O")),
+        pytest.param("goa", "8300273", marks=pytest.mark.xfail(
+            strict=True, reason="⊕5: x of norm 6.3e-5 has ‖x²‖ = 3.9e-9, so it is orthogonal to itself, but not O")),
         pytest.param("goa", "90202720", marks=pytest.mark.xfail(
             strict=True, reason="oplus/vee: ‖xy‖ = 2.7e-9 makes x ⊥ y, but x + y is not the join (off by 5.2e-5)")),
         pytest.param("nearsemilattice", "200075", marks=pytest.mark.xfail(

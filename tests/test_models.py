@@ -260,6 +260,13 @@ def test_pf_json_round_trip():
         pf_from_json({"universe": [1]})
 
 
+def test_rv_rejects_integers_beyond_float_range():
+    with pytest.raises(ValueError, match="float range"):
+        RandomVariable((10**400, 0))
+    with pytest.raises(ParseError, match="float range"):
+        rv_from_json({"values": [0, -(10**400)]})
+
+
 def test_rv_json_round_trip():
     f = RandomVariable((1, 0, 7))
     assert rv_from_json(rv_to_json(f)) == f

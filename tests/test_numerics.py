@@ -49,6 +49,15 @@ def test_constructor_rejects_non_finite(bad):
         HermitianOperator([[1.0, complex(0.0, bad)], [complex(0.0, -bad), 1.0]])
 
 
+def test_constructors_reject_integers_beyond_float_range():
+    with pytest.raises(ValueError, match="float range"):
+        HermitianOperator([[10**400, 0], [0, 1]])
+    with pytest.raises(ValueError, match="float range"):
+        HermitianOperator([[1, 0], [0, -(10**400)]])
+    with pytest.raises(ValueError, match="float range"):
+        HermitianOperator.diagonal([10**400, 1])
+
+
 def test_constructor_rejects_non_square():
     with pytest.raises(ValueError):
         HermitianOperator(np.zeros((2, 3)))
@@ -180,14 +189,11 @@ def test_range_projector_computes_once_per_operator(monkeypatch):
 def test_range_projector_cache_is_bounded(rng):
     info = numerics._range_projector.cache_info()
     assert info.maxsize == 16
-    assert observables._eff_range_projector.cache_info().maxsize == 16
     assert numerics._spectrum.cache_info().maxsize == 16
     for _ in range(40):
         a = HermitianOperator.diagonal(rng.standard_normal(3))
         range_projector(a)
-        observables._eff_range_projector(a, DEFAULT_TOL)
     assert numerics._range_projector.cache_info().currsize <= 16
-    assert observables._eff_range_projector.cache_info().currsize <= 16
     assert numerics._spectrum.cache_info().currsize <= 16
 
 
@@ -206,7 +212,6 @@ def test_verify_report_does_not_depend_on_the_caches(tmp_path, monkeypatch):
             "--dim", "4", "--samples", "40", "--seed", "7"]
     assert main(argv + ["--out", str(tmp_path / "cached.json")]) == 0
     monkeypatch.setattr(numerics, "_range_projector", numerics._range_projector.__wrapped__)
-    monkeypatch.setattr(observables, "_eff_range_projector", observables._eff_range_projector.__wrapped__)
     monkeypatch.setattr(numerics, "_spectrum", numerics._spectrum.__wrapped__)
     assert main(argv + ["--out", str(tmp_path / "uncached.json")]) == 0
     assert (tmp_path / "cached.json").read_bytes() == (tmp_path / "uncached.json").read_bytes()

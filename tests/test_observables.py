@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from starorder.errors import DimMismatch, NotLess, NotOrthogonal, NotUpperBound
+from starorder.errors import DimMismatch, NotLess, NotOrthogonal, NotUpperBound, StarOrderError
 from starorder.numerics import HermitianOperator, commutes, eigh, op_equal, proj_join, proj_meet, range_projector
 from starorder.observables import (
     _try_join,
@@ -22,6 +22,7 @@ from starorder.sampling import (
     _EIGENVALUE_POOL,
     bounded_family,
     random_commuting_projector,
+    random_hermitian,
     random_spectrum_hermitian,
     random_unitary,
 )
@@ -549,3 +550,49 @@ def test_results_stay_finite_near_the_largest_double(seed):
     results = [meet(a, b), skew_meet(a, b), bck_subtract(b, a), join_bounded([a, b], c), _try_join(a, b)]
     for x in results:
         assert x is not None and np.all(np.isfinite(x.entries))
+
+
+def outcome(op, *args):
+    """The result of op, or the type of the StarOrderError it raised."""
+    try:
+        return op(*args)
+    except StarOrderError as exc:
+        return type(exc)
+
+
+def same_outcome(r, s):
+    if isinstance(r, HermitianOperator) or isinstance(s, HermitianOperator):
+        return isinstance(r, HermitianOperator) and isinstance(s, HermitianOperator) and op_equal(r, s)
+    return r == s
+
+
+# O's class under op_equal: an operand of norm 1e-10 is O to every operation
+@pytest.mark.parametrize("dim", [4, 16, 64])
+def test_operands_in_the_zero_class_act_as_exact_zero(rng, dim):
+    o = HermitianOperator.zero(dim)
+    g = random_hermitian(rng, dim)
+    noise = g.scaled(1e-10 / g.norm())
+    c, (a, b) = bounded_family(rng, dim, 2)
+    ops = {
+        "logical_le": logical_le,
+        "overridden": overridden,
+        "_try_join": _try_join,
+        "join_bounded": lambda x, y: join_bounded([x, y], c),
+        "join_bounded witness": lambda x, y: join_bounded([x], y),
+        "bck_subtract": bck_subtract,
+        "skew_meet": skew_meet,
+        "meet": meet,
+    }
+    exact = {id(noise): o}
+    for z in (o, noise):
+        for x in (o, noise, a, b, c):
+            for pair in ((z, x), (x, z)):
+                zeroed = [exact.get(id(t), t) for t in pair]
+                for name, op in ops.items():
+                    assert same_outcome(outcome(op, *pair), outcome(op, *zeroed)), (name, dim)
+    # what exact O answers
+    assert c.norm() > 1 and noise.norm() > 0
+    assert logical_le(noise, c) and not logical_le(c, noise)
+    assert overridden(noise, c) and not overridden(c, noise)
+    assert op_equal(_try_join(noise, c), c) and op_equal(bck_subtract(c, noise), c)
+    assert op_equal(skew_meet(c, noise), o) and op_equal(skew_meet(noise, c), o)

@@ -8,7 +8,16 @@ import numpy as np
 import pytest
 
 from starorder import sampling
-from starorder.sampling import _SAMPLE_CHUNK, bounded_family, matrix_structure, random_spectrum_hermitian
+from starorder.numerics import DEFAULT_TOL, HermitianOperator, Tolerances, eigh, op_equal
+from starorder.sampling import (
+    _SAMPLE_CHUNK,
+    bounded_family,
+    matrix_structure,
+    random_commuting_projector,
+    random_hermitian,
+    random_spectrum_hermitian,
+    spectral_segment,
+)
 
 SEED = 20261018
 
@@ -134,3 +143,52 @@ def test_linear_algebra_calls_per_chunk_do_not_grow_with_the_tuples(monkeypatch,
         # the bases, plus one stacked QR per rotated-block size; one stacked eigh
         assert chunks <= calls["qr"] <= chunks * (dim + 1)
         assert calls["eigh"] == chunks
+
+
+def spectral_segment_reference(b, tol=DEFAULT_TOL):
+    """[O, B] by brute force: B P_S for every subset S of all dim
+    eigen-directions, kernel eigenvalues zeroed, the first member of each
+    op_equal class kept in mask order."""
+    w, v = eigh(b)
+    top = float(np.max(np.abs(w))) if w.size else 0.0
+    w = np.where(np.abs(w) > tol.rank_rel_tol * top, w, 0.0)
+    out = []
+    for mask in range(2**b.dim):
+        candidate = sampling._assemble(w, v, [i for i in range(b.dim) if mask >> i & 1])
+        if not any(op_equal(candidate, seen, tol) for seen in out):
+            out.append(candidate)
+    return out
+
+
+def segment_tops(rng, dim):
+    """Pool tops, members rotated inside eigenspaces, rank-deficient pool and
+    Gaussian tops, and O."""
+    yield from (random_spectrum_hermitian(rng, dim) for _ in range(4))
+    for _ in range(2):
+        yield from bounded_family(rng, dim, 2)[1]
+    yield from (random_spectrum_hermitian(rng, dim, pool=(0.0, 0.0, 1.0, -2.0)) for _ in range(3))
+    g = random_hermitian(rng, dim).entries
+    yield HermitianOperator(g)
+    yield HermitianOperator(g @ np.diag(np.arange(dim) % 2) @ g)  # rank dim // 2, Gaussian eigenbasis
+    yield HermitianOperator.zero(dim)
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_spectral_segment_is_the_deduplicated_subset_family_bit_for_bit(dim):
+    rng = np.random.default_rng([SEED, dim])
+    for b in segment_tops(rng, dim):
+        got = spectral_segment(b)
+        expected = spectral_segment_reference(b)
+        assert [a.entries.tobytes() for a in got] == [a.entries.tobytes() for a in expected]
+        assert len(got) == 2 ** int(np.count_nonzero(np.abs(eigh(b)[0]) > 1e-6 * max(1.0, b.norm())))
+
+
+def test_random_commuting_projector_groups_eigenvalues_within_eq_abs_tol():
+    c = HermitianOperator.diagonal([1.0, 1.0 + 1e-6])
+
+    def largest_off_diagonal(tol):
+        rng = np.random.default_rng(SEED)
+        return max(abs(random_commuting_projector(rng, c, tol).entries[0, 1]) for _ in range(40))
+
+    assert largest_off_diagonal(DEFAULT_TOL) == 0.0  # two eigenspaces: every P is diagonal
+    assert largest_off_diagonal(Tolerances(eq_abs_tol=1e-3)) > 0.1  # one: P mixes them
