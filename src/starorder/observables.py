@@ -27,7 +27,9 @@ only provided against an explicit upper-bound witness, because deciding
 whether a common upper bound exists is a different problem from computing
 the join once one is known.  Which operators count as O and which
 eigenvalues as zero is decided in `numerics`, by `_is_zero`, `_order_range`
-and the rank cutoff behind `range_projector`.
+and the rank cutoff behind `range_projector`; the exceptions are the
+cluster and null-space cutoffs of `_eigen_meet` and the pinv cutoff of
+`_try_join`, which apply rank_rel_tol directly.
 """
 
 from __future__ import annotations
@@ -67,9 +69,11 @@ __all__ = [
 
 
 def logical_le(a: HermitianOperator, b: HermitianOperator, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Whether A precedes B, i.e. A = B P_A (for A in O's class, P_A = 0)."""
+    """Whether A precedes B, i.e. A = B P_A; O's class precedes everything."""
     _same_dim(a, b)
-    return _arrays_close(a.entries, b.entries @ _order_range(a, tol).entries, tol)
+    if _is_zero(a, tol):
+        return True
+    return _arrays_close(a.entries, b.entries @ range_projector(a, tol).entries, tol)
 
 
 def orthogonal(a: HermitianOperator, b: HermitianOperator, tol: Tolerances = DEFAULT_TOL) -> bool:

@@ -166,7 +166,7 @@ def random_spectrum_hermitian(
 
 
 def random_commuting_projector(
-    rng: np.random.Generator, c: HermitianOperator, tol: Tolerances = DEFAULT_TOL, rotate: bool = True
+    rng: np.random.Generator, c: HermitianOperator, rotate: bool = True
 ) -> Projector:
     """A random projector commuting with c.
 
@@ -181,7 +181,7 @@ def random_commuting_projector(
     # a random sub-projector in each cluster of nearly equal eigenvalues
     order, start, cols = np.argsort(w), 0, [np.zeros((n, 0))]
     for i in range(1, n + 1):
-        if i < n and abs(w[order[i]] - w[order[start]]) <= tol.eq_abs_tol * max(1.0, abs(w[order[start]])):
+        if i < n and abs(w[order[i]] - w[order[start]]) <= 1e-8 * max(1.0, abs(w[order[start]])):
             continue
         block, start = order[start:i], i
         r = int(rng.integers(0, len(block) + 1))

@@ -136,7 +136,7 @@ def test_ac3_noncommuting_meet_sanity():
         if not obs.logical_le(m, a, TOL) or not obs.logical_le(m, b, TOL):
             violations += 1
         for _ in range(20):
-            r = random_commuting_projector(rng, m, TOL)
+            r = random_commuting_projector(rng, m)
             d = HermitianOperator((m.entries @ r.entries + r.entries @ m.entries) / 2)
             if not obs.logical_le(d, m, TOL):
                 violations += 1

@@ -8,12 +8,11 @@ import numpy as np
 import pytest
 
 from starorder import sampling
-from starorder.numerics import DEFAULT_TOL, HermitianOperator, Tolerances, eigh, op_equal
+from starorder.numerics import DEFAULT_TOL, HermitianOperator, eigh, op_equal
 from starorder.sampling import (
     _SAMPLE_CHUNK,
     bounded_family,
     matrix_structure,
-    random_commuting_projector,
     random_hermitian,
     random_spectrum_hermitian,
     spectral_segment,
@@ -181,14 +180,3 @@ def test_spectral_segment_is_the_deduplicated_subset_family_bit_for_bit(dim):
         expected = spectral_segment_reference(b)
         assert [a.entries.tobytes() for a in got] == [a.entries.tobytes() for a in expected]
         assert len(got) == 2 ** int(np.count_nonzero(np.abs(eigh(b)[0]) > 1e-6 * max(1.0, b.norm())))
-
-
-def test_random_commuting_projector_groups_eigenvalues_within_eq_abs_tol():
-    c = HermitianOperator.diagonal([1.0, 1.0 + 1e-6])
-
-    def largest_off_diagonal(tol):
-        rng = np.random.default_rng(SEED)
-        return max(abs(random_commuting_projector(rng, c, tol).entries[0, 1]) for _ in range(40))
-
-    assert largest_off_diagonal(DEFAULT_TOL) == 0.0  # two eigenspaces: every P is diagonal
-    assert largest_off_diagonal(Tolerances(eq_abs_tol=1e-3)) > 0.1  # one: P mixes them
